@@ -5,69 +5,14 @@ Prints an AUC / log-loss / Brier / accuracy table like:
 
     python scripts/compare_propensity_models.py --seed 3 --n 300 --max-evals 300
 
-Circuit models train with CMA-ES, so the quantum rows take a while at large
-budgets; --max-evals trades fidelity for speed.
+Each model is fitted and scored by the same code as `qcausal fit-ps`, on an
+arm-stratified subsample of each size; the metrics are computed on that
+subsample.  Circuit models train with CMA-ES; --max-evals caps their budget.
 """
 
 import argparse
 
-import numpy as np
-
-from qcausal import classical, data, metrics, qnn
-from qcausal.cmaes import CmaesConfig
-from qcausal.quantum import NoiseModel
-
-COVS = ("Age", "Sex", "Stage", "BMI")
-
-
-def subsample(z, size, rng):
-    if size >= len(z):
-        return np.arange(len(z))
-    treated = np.flatnonzero(z == 1.0)
-    control = np.flatnonzero(z == 0.0)
-    n_t = max(1, min(size - 1, round(size * len(treated) / len(z))))
-    return np.sort(
-        np.concatenate(
-            [
-                rng.choice(treated, n_t, replace=False),
-                rng.choice(control, size - n_t, replace=False),
-            ]
-        )
-    )
-
-
-def score_model(name, cohort, idx, args):
-    z = cohort.z[idx]
-    if name in ("lr", "gbm"):
-        X = cohort.matrix(COVS)[idx]
-        if name == "lr":
-            model = classical.fit_logistic(X, z)
-            raw = classical.predict_logistic(model, X)
-        else:
-            model = classical.fit_gbm(X, z)
-            raw = classical.predict_gbm(model, X)
-        return np.clip(raw, 1e-9, 1 - 1e-9)
-
-    angles, _ = data.encode_features(cohort.subset(idx), list(COVS))
-    if name == "qnn_exact":
-        mode = qnn.EvalMode.exact()
-    elif name == "qnn_sam":
-        mode = qnn.EvalMode.sampled(args.shots)
-    else:
-        mode = qnn.EvalMode.noisy(NoiseModel(args.noise_p, args.noise_p), args.shots)
-    config = qnn.QnnConfig(n_qubits=len(COVS), eval_mode=mode, seed=args.seed)
-    fitted = qnn.fit(
-        angles,
-        z,
-        config=config,
-        cmaes_config=CmaesConfig(max_evaluations=args.max_evals, seed=args.seed),
-    )
-    return np.array(
-        [
-            qnn.predict_propensity(fitted.params, row, config, seed=(args.seed, i))
-            for i, row in enumerate(angles)
-        ]
-    )
+from qcausal import cli, data, metrics
 
 
 def main():
@@ -81,15 +26,24 @@ def main():
     args = parser.parse_args()
 
     cohort = data.generate_synthetic_cohort(data.SynthConfig(n=args.n, seed=args.seed))
-    rng = np.random.default_rng(args.seed)
     sizes = [s for s in args.sizes if s <= args.n] + [args.n]
 
     print(f"{'sample':>6} {'model':>14} {'auc':>6} {'logloss':>8} {'brier':>6} {'acc':>6}")
     for size in sizes:
-        idx = subsample(cohort.z, size, rng)
+        idx = cli._subsample_indices(cohort.z, str(size), cli._stage_seed(args.seed, 1))
         labels = cohort.z[idx]
         for model in ("qnn_sam", "qnn_f_backend", "qnn_exact", "lr", "gbm"):
-            scores = score_model(model, cohort, idx, args)
+            config = cli.RunConfig(
+                command="fit-ps",
+                out_dir="",
+                seed=args.seed,
+                model=model,
+                shots=args.shots,
+                noise_p=args.noise_p,
+                max_evaluations=args.max_evals,
+            )
+            config.validate()
+            scores = cli._fit_scores(config, cohort, idx)[idx]
             _, auc = metrics.roc_and_auc(scores, labels)
             print(
                 f"{size:>6} {model:>14} {auc:>6.3f} "

@@ -2,7 +2,7 @@
 
 Subpackages map onto the pipeline stages:
 
-- `quantum`: statevector simulation, Pauli-sum observables, shot and noisy sampling
+- `quantum`: product-state circuit simulation, Pauli-sum observables, shot and noisy sampling
 - `qnn`: the circuit regressor, its losses, parameter-shift gradients, CMA-ES training
 - `cmaes`: the from-scratch evolution strategy
 - `classical`: logistic-regression and boosted-tree baselines

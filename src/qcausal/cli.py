@@ -12,9 +12,9 @@ there, so the stages compose:
 
 All randomness flows from --seed.  Stage k derives its own integer stream as
 SeedSequence((seed, k)) with k = 0 for generation, 1 for subsampling, 2 for
-model fitting, and 3 for adjustment; per-row scoring seeds extend the model
-stream with the row index.  A --config file of `key=value` lines overrides
-any flag of the same name.
+model fitting, and 3 for adjustment; circuit-model scoring draws every
+subject from one generator seeded with (model stream, 7).  A --config file
+of `key=value` lines overrides any flag of the same name.
 """
 
 from __future__ import annotations
@@ -258,12 +258,7 @@ def _fit_scores(config: RunConfig, cohort: data.Cohort, fit_idx: np.ndarray):
         config=qnn_config,
         cmaes_config=CmaesConfig(max_evaluations=config.max_evaluations, seed=model_seed),
     )
-    return np.array(
-        [
-            qnn.predict_propensity(fitted.params, row, qnn_config, seed=(model_seed, 7, i))
-            for i, row in enumerate(angles_all)
-        ]
-    )
+    return qnn.predict_propensities(fitted, angles_all, seed=(model_seed, 7))
 
 
 def cmd_fit_ps(config: RunConfig) -> int:

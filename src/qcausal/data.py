@@ -65,6 +65,10 @@ class VariableSpec:
             raise CohortError(
                 f"row {row}: column {self.name!r} is not numeric: {token!r}"
             ) from None
+        if not math.isfinite(value):
+            raise CohortError(
+                f"row {row}: column {self.name!r} is not finite: {token!r}"
+            )
         if self.kind in ("binary", "ordinal") and value != int(value):
             raise CohortError(
                 f"row {row}: column {self.name!r} must be an integer, got {token!r}"

@@ -20,18 +20,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cmaes
-from .quantum import (
-    AXES,
-    EncodingCircuit,
-    NoiseModel,
-    PauliSumObservable,
-    apply_circuit,
-    expectation,
-    pauli_expectation,
-    sample_expectation,
-    sample_noisy_expectation,
-    variance,
-)
+from .quantum import AXES, NoiseModel, PauliSumObservable, ProductStates, encode
+
+# The single-circuit API, bound here as well: perfbench/child.py wraps these
+# names in this module when it traces a run.
+from .quantum import apply_circuit, expectation, sample_noisy_expectation, variance  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -143,12 +136,27 @@ def initial_params(config: QnnConfig) -> QnnParams:
     return QnnParams(0.5, coeffs, angles)
 
 
-def _circuit(params: QnnParams, x: Sequence[float], config: QnnConfig) -> EncodingCircuit:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (config.n_qubits,):
-        raise ValueError(f"expected {config.n_qubits} features, got shape {x.shape}")
+def _states(params: QnnParams, X, config: QnnConfig) -> ProductStates:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) == 0 or X.shape[1] != config.n_qubits:
+        raise ValueError(f"expected rows of {config.n_qubits} features, got shape {X.shape}")
     variational = params.circuit_angles if config.variational_enabled else None
-    return EncodingCircuit(config.n_qubits, config.layers, x, variational)
+    return encode(X, config.layers, variational)
+
+
+def _predict_rows(params: QnnParams, X, config: QnnConfig, seed=None) -> np.ndarray:
+    """f(x_i) for every row of X under the configured evaluation mode.
+
+    Stochastic modes draw every row and term from one generator seeded with
+    `seed`, which defaults to config.seed.
+    """
+    states = _states(params, X, config)
+    obs = params.observable()
+    mode = config.eval_mode
+    if mode.kind == "exact":
+        return states.expectation(obs)
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    return states.sample(obs, mode.shots, rng, mode.noise or NoiseModel())
 
 
 def predict(params: QnnParams, x: Sequence[float], config: QnnConfig, seed=None) -> float:
@@ -157,22 +165,13 @@ def predict(params: QnnParams, x: Sequence[float], config: QnnConfig, seed=None)
     `seed` overrides the sampling seed for stochastic modes; it defaults to
     config.seed so repeated calls are reproducible.
     """
-    circuit = _circuit(params, x, config)
-    obs = params.observable()
-    mode = config.eval_mode
-    if mode.kind == "exact":
-        return expectation(apply_circuit(circuit), obs)
-    if seed is None:
-        seed = config.seed
-    if mode.kind == "shots":
-        return sample_expectation(circuit, obs, mode.shots, seed)
-    return sample_noisy_expectation(circuit, obs, mode.noise, mode.shots, seed)
+    return float(_predict_rows(params, np.asarray(x, dtype=float)[None], config, seed)[0])
 
 
 def predict_propensity(params: QnnParams, x, config: QnnConfig, seed=None) -> float:
     """Raw output clamped to [eps, 1 - eps]; keeps scores usable as probabilities."""
     eps = config.clip_epsilon
-    return float(min(max(predict(params, x, config, seed), eps), 1.0 - eps))
+    return float(np.clip(predict(params, x, config, seed), eps, 1.0 - eps))
 
 
 def _check_training_arrays(X, y, w):
@@ -191,27 +190,17 @@ def _check_training_arrays(X, y, w):
 def loss_fit(params: QnnParams, X, y, w, config: QnnConfig, seed=None) -> float:
     """sum_i w_i (f(x_i) - y_i)^2 on raw (unclipped) predictions."""
     X, y, w = _check_training_arrays(X, y, w)
-    total = 0.0
-    for i, row in enumerate(X):
-        row_seed = None if seed is None else tuple(seed) + (i,)
-        residual = predict(params, row, config, seed=row_seed) - y[i]
-        total += w[i] * residual * residual
-    return float(total)
+    residual = _predict_rows(params, X, config, seed) - y
+    return float(np.sum(w * residual * residual))
 
 
 def loss_variance(params: QnnParams, X, config: QnnConfig) -> float:
     """Sum of exact observable variances at the training points.
 
-    Always statevector-evaluated, independent of the configured eval mode.
+    Always evaluated exactly on the noiseless states, independent of the
+    configured eval mode.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or len(X) == 0:
-        raise ValueError("X must be a non-empty 2-d row matrix")
-    obs = params.observable()
-    total = 0.0
-    for row in X:
-        total += variance(apply_circuit(_circuit(params, row, config)), obs)
-    return float(total)
+    return float(np.sum(_states(params, X, config).variance(params.observable())))
 
 
 def total_loss(params: QnnParams, X, y, w, config: QnnConfig, seed=None) -> float:
@@ -225,25 +214,20 @@ def total_loss(params: QnnParams, X, y, w, config: QnnConfig, seed=None) -> floa
 def gradient_parameter_shift(params: QnnParams, x, config: QnnConfig) -> np.ndarray:
     """Exact-mode gradient of f(x, theta) in packed parameter order.
 
-    df/da = 1, df/db_{i,P} = <P_i> from one state preparation, and circuit
-    angles via the +-pi/2 shift rule (f(t + pi/2) - f(t - pi/2)) / 2.
+    df/da = 1, df/db_{i,P} = <P_i> (the Bloch vectors), and circuit angles via
+    the +-pi/2 shift rule (f(t + pi/2) - f(t - pi/2)) / 2.  The unshifted and
+    all shifted circuits are evaluated as rows of one batch.
     """
     if config.eval_mode.kind != "exact":
         raise ValueError("parameter-shift gradients are defined for exact mode only")
-    state = apply_circuit(_circuit(params, x, config))
-    grad = [1.0]
-    for q, ax in _coeff_keys(config.n_qubits):
-        grad.append(float(pauli_expectation(state.amplitudes, config.n_qubits, q, ax)))
+    m = config.n_circuit_angles
     if config.variational_enabled:
-        angles = params.circuit_angles
-        for j in range(angles.size):
-            shifted = angles.copy()
-            shifted[j] += math.pi / 2.0
-            up = predict(replace(params, circuit_angles=shifted), x, config)
-            shifted[j] -= math.pi
-            down = predict(replace(params, circuit_angles=shifted), x, config)
-            grad.append((up - down) / 2.0)
-    return np.array(grad, dtype=float)
+        shifts = np.vstack([np.zeros(m), np.eye(m), -np.eye(m)]) * (math.pi / 2.0)
+        # one angle vector per row: unshifted, then each angle +pi/2, then each -pi/2
+        params = replace(params, circuit_angles=params.circuit_angles + shifts)
+    states = _states(params, np.repeat(np.asarray(x, dtype=float)[None], 1 + 2 * m, axis=0), config)
+    f = states.expectation(params.observable())
+    return np.concatenate([[1.0], states.bloch()[0].ravel(), (f[1 : 1 + m] - f[1 + m :]) / 2.0])
 
 
 @dataclass(frozen=True)
@@ -263,9 +247,9 @@ def fit(
 ) -> FittedQnn:
     """Train by minimizing total_loss with CMA-ES; deterministic per config.seed.
 
-    Stochastic eval modes draw a fresh sub-seed per objective evaluation,
-    (seed, evaluation counter, row index), so the objective is noisy but the
-    whole run replays exactly.
+    Stochastic eval modes seed one generator per objective evaluation with
+    (seed, evaluation counter), so the objective is noisy but the whole run
+    replays exactly.
     """
     if config is None:
         raise ValueError("a QnnConfig is required")
@@ -301,7 +285,10 @@ def fit(
 
 
 def predict_propensities(fitted: FittedQnn, X, seed=None) -> np.ndarray:
-    """Clipped scores for each row of X."""
-    return np.array(
-        [predict_propensity(fitted.params, row, fitted.config, seed) for row in np.asarray(X, dtype=float)]
-    )
+    """Clipped scores for every row of X, evaluated as one batch.
+
+    Stochastic modes draw all rows from one generator seeded with `seed`
+    (default config.seed), so identical rows still get independent draws.
+    """
+    eps = fitted.config.clip_epsilon
+    return np.clip(_predict_rows(fitted.params, X, fitted.config, seed), eps, 1.0 - eps)

@@ -1,24 +1,25 @@
-"""Dense statevector simulation of single-qubit encoding circuits.
+"""Product-state simulation of single-qubit encoding circuits.
 
 The circuit family is deliberately small: per re-uploading layer, a Hadamard
 on every qubit, a data-dependent phase exp(+i * x_i * Z_i) on qubit i, and an
 optional trainable RZ/RY pair per qubit.  There are no entangling gates, so
-every reachable state is a product state; the simulator is nevertheless a
-general dense one so that observables and noise are handled uniformly.
-
-Observables are weighted sums of the identity and single-qubit Paulis,
-
-    H = a*I + sum_i sum_{P in {X,Y,Z}} b_{i,P} * P_i,
-
-evaluated either exactly from amplitudes, by finite-shot sampling (each Pauli
-term gets its own shot budget), or by stochastic Pauli-channel trajectories
-that emulate gate and readout noise.
+every state is a product of one-qubit states: `encode` folds each qubit's
+gates over many feature rows at once, and `apply_circuit` builds the dense
+statevector with `kron`.  Observables H = a*I + sum_{i,P} b_{i,P} * P_i are
+read off each qubit's Bloch vector r_i: <H> = a + sum_i b_i . r_i and
+Var(H) = sum_i (|b_i|^2 - (b_i . r_i)^2).  Each sampled Pauli term counts
+Binomial(shots, (1 - r_{i,P}) / 2) outcomes -1.  Gate noise (a uniformly
+random Pauli after each gate with probability p) is the depolarizing channel,
+which shrinks r_i by (1 - 4p/3) per gate on qubit i, so noisy sampling draws
+the same outcome law as simulating the noise shot by shot.  `expectation` and
+`variance` stay exact for any `Statevector`, product or not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,26 +32,27 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"X": _X, "Y": _Y, "Z": _Z}
-# rotate-to-Z-basis matrices: measuring P equals applying this then measuring Z
-_S_DAG = np.array([[1, 0], [0, -1j]], dtype=complex)
-_BASIS_ROT = {"X": _H, "Y": _H @ _S_DAG, "Z": np.eye(2, dtype=complex)}
-
-# trajectory chunk size; bounds memory at chunk * 2**n amplitudes
-_SHOT_CHUNK = 1 << 16
 
 
-def _zphase(x: float) -> np.ndarray:
-    """Matrix of exp(+i*x*Z) = diag(e^{ix}, e^{-ix})."""
-    return np.array([[np.exp(1j * x), 0], [0, np.exp(-1j * x)]])
+def _gate_matrix(name: str, angle) -> np.ndarray:
+    """2x2 matrix of gate `name`, batched over the shape of `angle`: (..., 2, 2).
 
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    zphase(x) = diag(e^{ix}, e^{-ix}), rz(t) = diag(e^{-it/2}, e^{it/2}),
+    ry(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]].
+    """
+    angle = np.asarray(angle, dtype=float)
+    if name == "h":
+        return np.broadcast_to(_H, angle.shape + (2, 2))
+    if name in ("zphase", "rz"):
+        phase = np.exp(1j * angle) if name == "zphase" else np.exp(-0.5j * angle)
+        out = np.zeros(angle.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = phase
+        out[..., 1, 1] = np.conj(phase)
+        return out
+    if name == "ry":
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+    raise ValueError(f"unknown gate {name!r}")
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,6 @@ class GateOp:
     name: str
     qubit: int
     angle: float = 0.0
-
-    def matrix(self) -> np.ndarray:
-        if self.name == "h":
-            return _H
-        if self.name == "zphase":
-            return _zphase(self.angle)
-        if self.name == "rz":
-            return _rz(self.angle)
-        if self.name == "ry":
-            return _ry(self.angle)
-        raise ValueError(f"unknown gate {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +134,7 @@ class EncodingCircuit:
             object.__setattr__(self, "variational_angles", var)
 
     def gate_ops(self) -> list[GateOp]:
-        """Lower to the flat gate sequence the simulators execute."""
+        """Lower to the flat gate sequence the circuit applies, in order."""
         ops: list[GateOp] = []
         n = self.n_qubits
         for layer in range(self.layers):
@@ -169,8 +160,6 @@ def build_feature_map(
     feat = np.asarray(x, dtype=float)
     if feat.ndim != 1 or feat.size == 0:
         raise ValueError("x must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(feat)):
-        raise ValueError("x must be finite")
     var = None if variational is None else np.asarray(variational, dtype=float)
     return EncodingCircuit(feat.size, layers, feat, var)
 
@@ -206,6 +195,14 @@ class PauliSumObservable:
     def max_qubit(self) -> int:
         return max((q for q, _ in self.pauli_coeffs), default=-1)
 
+    def coefficient_matrix(self, n_qubits: int) -> np.ndarray:
+        """b as an (n_qubits, 3) matrix, columns in AXES order."""
+        _check_bounds(self, n_qubits)
+        b = np.zeros((n_qubits, 3))
+        for (qubit, axis), value in self.pauli_coeffs.items():
+            b[qubit, AXES.index(axis)] = value
+        return b
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -221,8 +218,185 @@ class NoiseModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
 
 
+def _check_bounds(obs: PauliSumObservable, n: int) -> None:
+    if obs.max_qubit() >= n:
+        raise ValueError(
+            f"observable touches qubit {obs.max_qubit()} but the state has {n} qubits"
+        )
+
+
 # ---------------------------------------------------------------------------
-# simulator core
+# product-state core
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProductStates:
+    """One product state per row.
+
+    `amplitudes` holds each qubit's one-qubit state, shape (rows, n_qubits, 2);
+    `gate_counts` holds the number of gates applied to each qubit, which sets
+    how far gate noise shrinks its Bloch vector.
+    """
+
+    amplitudes: np.ndarray
+    gate_counts: np.ndarray
+
+    def bloch(self) -> np.ndarray:
+        """Bloch vectors (<X>, <Y>, <Z>) per row and qubit: (rows, n_qubits, 3)."""
+        a0, a1 = self.amplitudes[..., 0], self.amplitudes[..., 1]
+        cross = 2.0 * np.conj(a0) * a1
+        return np.stack([cross.real, cross.imag, np.abs(a0) ** 2 - np.abs(a1) ** 2], axis=-1)
+
+    def dense(self) -> np.ndarray:
+        """The 2**n amplitudes of the first row; qubit 0 is the least significant bit."""
+        return reduce(np.kron, self.amplitudes[0, ::-1], np.ones(1))
+
+    def expectation(self, obs: PauliSumObservable) -> np.ndarray:
+        """Exact <H> per row."""
+        b = obs.coefficient_matrix(self.amplitudes.shape[1])
+        return obs.identity_coeff + np.einsum("rqp,qp->r", self.bloch(), b)
+
+    def variance(self, obs: PauliSumObservable) -> np.ndarray:
+        """Exact Var(H) per row: qubits are independent and (b . sigma)^2 = |b|^2 I."""
+        b = obs.coefficient_matrix(self.amplitudes.shape[1])
+        along = np.einsum("rqp,qp->rq", self.bloch(), b)
+        return np.maximum(np.sum(b * b) - np.sum(along * along, axis=1), 0.0)
+
+    def sample(
+        self, obs: PauliSumObservable, shots: int, rng: np.random.Generator,
+        noise: NoiseModel = NoiseModel(),
+    ) -> np.ndarray:
+        """Shot estimate of <H> per row, each nonzero Pauli term measured `shots` times.
+
+        All rows x terms are drawn in one binomial call on `rng`, terms in the
+        canonical order of `PauliSumObservable.terms`.
+        """
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
+        b = obs.coefficient_matrix(self.amplitudes.shape[1])
+        qubits, axes = np.nonzero(b)
+        shrink = (1.0 - 4.0 * noise.depolarizing_prob / 3.0) ** self.gate_counts[qubits]
+        p1 = np.clip((1.0 - shrink * self.bloch()[:, qubits, axes]) / 2.0, 0.0, 1.0)
+        flip = noise.readout_flip_prob
+        ones = rng.binomial(shots, p1 * (1.0 - flip) + (1.0 - p1) * flip)
+        return obs.identity_coeff + (1.0 - 2.0 * ones / shots) @ b[qubits, axes]
+
+
+def _fold(ops: Iterable[tuple], n_qubits: int, rows: int) -> ProductStates:
+    """Apply (name, qubits, angle) gate ops to |0...0> for all rows at once.
+
+    `qubits` is one index or a slice; `angle` broadcasts against the selected
+    (rows, qubits) amplitudes.
+    """
+    amps = np.zeros((rows, n_qubits, 2), dtype=complex)
+    amps[..., 0] = 1.0
+    counts = np.zeros(n_qubits, dtype=int)
+    for name, qubits, angle in ops:
+        amps[:, qubits] = (_gate_matrix(name, angle) @ amps[:, qubits, :, None])[..., 0]
+        counts[qubits] += 1
+    return ProductStates(amps, counts)
+
+
+def encode(
+    X, layers: int = 1, variational=None, include_hadamards: bool = True
+) -> ProductStates:
+    """States of the layered encoding circuit for every feature row of X.
+
+    X is (rows, n_qubits).  `variational` is either one angle vector shared by
+    all rows, laid out as `EncodingCircuit.variational_angles`, or one such
+    vector per row, shape (rows, 2 * n_qubits * layers).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"X must be a (rows, n_qubits) matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature angles must be finite")
+    rows, n = X.shape
+    angles = None
+    if variational is not None:
+        var = np.asarray(variational, dtype=float)
+        if var.shape not in ((2 * n * layers,), (rows, 2 * n * layers)):
+            raise ValueError(
+                f"variational angles must have {2 * n * layers} entries per row, got {var.shape}"
+            )
+        if not np.all(np.isfinite(var)):
+            raise ValueError("variational angles must be finite")
+        angles = var.reshape(var.shape[:-1] + (layers, n, 2))
+
+    def ops():
+        every = slice(None)
+        for layer in range(layers):
+            if include_hadamards:
+                yield "h", every, 0.0
+            yield "zphase", every, X
+            if angles is not None:
+                yield "rz", every, angles[..., layer, :, 0]
+                yield "ry", every, angles[..., layer, :, 1]
+
+    return _fold(ops(), n, rows)
+
+
+def _circuit_states(circuit: EncodingCircuit) -> ProductStates:
+    return encode(
+        circuit.feature_angles[None, :],
+        circuit.layers,
+        circuit.variational_angles,
+        circuit.include_hadamards,
+    )
+
+
+def _gate_states(gates: Iterable[GateOp], n_qubits: int) -> ProductStates:
+    gates = list(gates)
+    for op in gates:
+        if not 0 <= op.qubit < n_qubits:
+            raise ValueError(f"gate qubit {op.qubit} out of range for {n_qubits} qubits")
+    return _fold(((op.name, op.qubit, op.angle) for op in gates), n_qubits, 1)
+
+
+def run_gates(gates: Iterable[GateOp], n_qubits: int) -> np.ndarray:
+    """Run a gate sequence on |0...0> and return raw amplitudes."""
+    return _gate_states(gates, n_qubits).dense()
+
+
+def apply_circuit(circuit: EncodingCircuit) -> Statevector:
+    """Statevector produced by the circuit from the all-zeros state."""
+    return Statevector(circuit.n_qubits, _circuit_states(circuit).dense())
+
+
+def sample_expectation(
+    circuit: EncodingCircuit, obs: PauliSumObservable, shots: int, seed
+) -> float:
+    """Monte-Carlo estimate of <H>: each Pauli term measured with `shots` shots.
+
+    Deterministic for a fixed (circuit, obs, shots, seed).
+    """
+    return sample_noisy_expectation(circuit, obs, NoiseModel(), shots, seed)
+
+
+def sample_noisy_expectation_from_gates(
+    gates: list[GateOp], n_qubits: int, obs: PauliSumObservable,
+    noise: NoiseModel, shots: int, seed,
+) -> float:
+    """Noisy estimate for an explicit gate sequence (exposed for oracles)."""
+    rng = np.random.default_rng(seed)
+    return float(_gate_states(gates, n_qubits).sample(obs, shots, rng, noise)[0])
+
+
+def sample_noisy_expectation(
+    circuit: EncodingCircuit, obs: PauliSumObservable,
+    noise: NoiseModel, shots: int, seed,
+) -> float:
+    """Shot estimate of <H> under the depolarizing + readout-flip channel.
+
+    With all noise probabilities zero this is `sample_expectation`.
+    """
+    rng = np.random.default_rng(seed)
+    return float(_circuit_states(circuit).sample(obs, shots, rng, noise)[0])
+
+
+# ---------------------------------------------------------------------------
+# exact observables on a general statevector
 # ---------------------------------------------------------------------------
 
 
@@ -237,66 +411,19 @@ def _apply_matrix(states: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np
     return v.reshape(lead + (2**n,))
 
 
-def run_gates(gates: Iterable[GateOp], n_qubits: int) -> np.ndarray:
-    """Run a gate sequence on |0...0> and return raw amplitudes."""
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    for op in gates:
-        if not 0 <= op.qubit < n_qubits:
-            raise ValueError(f"gate qubit {op.qubit} out of range for {n_qubits} qubits")
-        amps = _apply_matrix(amps, op.matrix(), op.qubit, n_qubits)
-    return amps
-
-
-def apply_circuit(circuit: EncodingCircuit) -> Statevector:
-    """Statevector produced by the circuit from the all-zeros state."""
-    return Statevector(circuit.n_qubits, run_gates(circuit.gate_ops(), circuit.n_qubits))
-
-
-def _qubit_slices(amps: np.ndarray, qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split amplitudes shaped (..., 2**n) into (bit=0, bit=1) halves on `qubit`."""
-    lead = amps.shape[:-1]
-    v = amps.reshape(lead + (2,) * n)
-    ax = v.ndim - 1 - qubit
-    v = np.moveaxis(v, ax, -1).reshape(lead + (2 ** (n - 1), 2))
-    return v[..., 0], v[..., 1]
-
-
-def pauli_expectation(amps: np.ndarray, n: int, qubit: int, axis: str):
-    """<P_qubit> for amplitudes shaped (..., 2**n); returns shape (...,)."""
-    a0, a1 = _qubit_slices(amps, qubit, n)
-    if axis == "Z":
-        return np.sum(np.abs(a0) ** 2 - np.abs(a1) ** 2, axis=-1)
-    cross = np.sum(np.conj(a0) * a1, axis=-1)
-    if axis == "X":
-        return 2.0 * np.real(cross)
-    if axis == "Y":
-        return 2.0 * np.imag(cross)
-    raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-
-
-def _check_bounds(obs: PauliSumObservable, n: int) -> None:
-    if obs.max_qubit() >= n:
-        raise ValueError(
-            f"observable touches qubit {obs.max_qubit()} but the state has {n} qubits"
-        )
-
-
-def expectation(state: Statevector, obs: PauliSumObservable) -> float:
-    """<H> = a + sum b_{i,P} <P_i>, computed exactly from amplitudes."""
-    _check_bounds(obs, state.n_qubits)
-    total = obs.identity_coeff
-    for qubit, axis, coeff in obs.terms():
-        total += coeff * float(pauli_expectation(state.amplitudes, state.n_qubits, qubit, axis))
-    return float(total)
-
-
 def apply_observable(amps: np.ndarray, n: int, obs: PauliSumObservable) -> np.ndarray:
     """H|psi> for the Pauli-sum observable."""
     out = obs.identity_coeff * amps
     for qubit, axis, coeff in obs.terms():
         out = out + coeff * _apply_matrix(amps, _PAULI[axis], qubit, n)
     return out
+
+
+def expectation(state: Statevector, obs: PauliSumObservable) -> float:
+    """<H> = <psi| H |psi>, computed exactly from amplitudes."""
+    _check_bounds(obs, state.n_qubits)
+    hpsi = apply_observable(state.amplitudes, state.n_qubits, obs)
+    return float(np.real(np.vdot(state.amplitudes, hpsi)))
 
 
 def variance(state: Statevector, obs: PauliSumObservable) -> float:
@@ -312,117 +439,3 @@ def variance(state: Statevector, obs: PauliSumObservable) -> float:
     resid = hpsi - e1 * state.amplitudes
     return float(np.real(np.vdot(resid, resid)))
 
-
-# ---------------------------------------------------------------------------
-# shot sampling
-# ---------------------------------------------------------------------------
-
-
-def _bit_one_probability(amps: np.ndarray, n: int, qubit: int, axis: str):
-    """P(measured bit = 1) when measuring Pauli `axis` on `qubit`.
-
-    Bit 0 is the +1 eigenvalue outcome; the state is rotated so the target
-    Pauli becomes Z, then the bit=1 mass is read off.
-    """
-    rot = _BASIS_ROT[axis]
-    rotated = amps if axis == "Z" else _apply_matrix(amps, rot, qubit, n)
-    _, a1 = _qubit_slices(rotated, qubit, n)
-    return np.sum(np.abs(a1) ** 2, axis=-1)
-
-
-def _sample_term_clean(
-    amps: np.ndarray, n: int, qubit: int, axis: str, shots: int,
-    readout_flip: float, rng: np.random.Generator,
-) -> float:
-    """Finite-shot estimate of <P> from a single (noise-free) state."""
-    p1 = float(_bit_one_probability(amps, n, qubit, axis))
-    p1 = min(max(p1, 0.0), 1.0)
-    if readout_flip > 0.0:
-        p1 = p1 * (1.0 - readout_flip) + (1.0 - p1) * readout_flip
-    ones = int(rng.binomial(shots, p1))
-    return 1.0 - 2.0 * ones / shots
-
-
-def _sample_term_trajectories(
-    gates: list[GateOp], n: int, qubit: int, axis: str, shots: int,
-    noise: NoiseModel, rng: np.random.Generator,
-) -> float:
-    """Per-shot trajectory estimate of <P> under the gate-noise channel.
-
-    After every gate a uniformly random Pauli is inserted on the touched qubit
-    with probability depolarizing_prob, independently per shot.
-    """
-    total_ones = 0
-    done = 0
-    while done < shots:
-        chunk = min(_SHOT_CHUNK, shots - done)
-        states = np.zeros((chunk, 2**n), dtype=complex)
-        states[:, 0] = 1.0
-        for op in gates:
-            states = _apply_matrix(states, op.matrix(), op.qubit, n)
-            hit = rng.random(chunk) < noise.depolarizing_prob
-            kinds = rng.integers(0, 3, size=chunk)
-            for k, ax in enumerate(AXES):
-                sel = hit & (kinds == k)
-                if np.any(sel):
-                    states[sel] = _apply_matrix(states[sel], _PAULI[ax], op.qubit, n)
-        p1 = np.clip(_bit_one_probability(states, n, qubit, axis), 0.0, 1.0)
-        bits = rng.random(chunk) < p1
-        if noise.readout_flip_prob > 0.0:
-            bits ^= rng.random(chunk) < noise.readout_flip_prob
-        total_ones += int(np.count_nonzero(bits))
-        done += chunk
-    return 1.0 - 2.0 * total_ones / shots
-
-
-def _sampled_expectation(
-    gates: list[GateOp], n: int, obs: PauliSumObservable,
-    shots: int, seed, noise: NoiseModel | None,
-) -> float:
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_bounds(obs, n)
-    rng = np.random.default_rng(seed)
-    trajectories = noise is not None and noise.depolarizing_prob > 0.0
-    readout = noise.readout_flip_prob if noise is not None else 0.0
-    clean_amps = None if trajectories else run_gates(gates, n)
-    total = obs.identity_coeff
-    for qubit, axis, coeff in obs.terms():
-        if trajectories:
-            est = _sample_term_trajectories(gates, n, qubit, axis, shots, noise, rng)
-        else:
-            est = _sample_term_clean(clean_amps, n, qubit, axis, shots, readout, rng)
-        total += coeff * est
-    return float(total)
-
-
-def sample_expectation(
-    circuit: EncodingCircuit, obs: PauliSumObservable, shots: int, seed
-) -> float:
-    """Monte-Carlo estimate of <H>: each Pauli term measured with `shots` shots.
-
-    Deterministic for a fixed (circuit, obs, shots, seed).
-    """
-    return _sampled_expectation(circuit.gate_ops(), circuit.n_qubits, obs, shots, seed, None)
-
-
-def sample_noisy_expectation_from_gates(
-    gates: list[GateOp], n_qubits: int, obs: PauliSumObservable,
-    noise: NoiseModel, shots: int, seed,
-) -> float:
-    """Noisy estimate for an explicit gate sequence (exposed for oracles)."""
-    return _sampled_expectation(gates, n_qubits, obs, shots, seed, noise)
-
-
-def sample_noisy_expectation(
-    circuit: EncodingCircuit, obs: PauliSumObservable,
-    noise: NoiseModel, shots: int, seed,
-) -> float:
-    """Shot estimate of <H> under the depolarizing + readout-flip channel.
-
-    With all noise probabilities zero this consumes the identical random
-    stream as `sample_expectation`, so the two agree bit for bit.
-    """
-    return _sampled_expectation(
-        circuit.gate_ops(), circuit.n_qubits, obs, shots, seed, noise
-    )

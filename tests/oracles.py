@@ -67,6 +67,31 @@ def dense_variance(gate_ops, obs, n):
     return float(e2 - e1 * e1)
 
 
+def dense_noisy_term_means(gate_ops, obs, n, noise):
+    """Mean of each Pauli term's noisy +-1 outcome, from the density matrix.
+
+    After every gate the depolarizing channel
+    rho -> (1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z) acts on the touched
+    qubit.  Each term is then read out through a bit-flip channel: a Pauli
+    that anticommutes with the measured one is applied with the readout-flip
+    probability, which flips the outcome.
+    """
+    p, flip = noise.depolarizing_prob, noise.readout_flip_prob
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for op in gate_ops:
+        U = lift(gate_matrix(op.name, op.angle), op.qubit, n)
+        rho = U @ rho @ U.conj().T
+        kicks = [lift(P, op.qubit, n) for P in (X, Y, Z)]
+        rho = (1 - p) * rho + (p / 3) * sum(K @ rho @ K for K in kicks)
+    means = {}
+    for (qubit, axis) in obs.pauli_coeffs:
+        F = lift(X if axis == "Z" else Z, qubit, n)
+        read = (1 - flip) * rho + flip * (F @ rho @ F)
+        means[(qubit, axis)] = float(np.real(np.trace(lift(PAULI[axis], qubit, n) @ read)))
+    return means
+
+
 def random_observable(rng, n, axes="XYZ"):
     from qcausal.quantum import PauliSumObservable
 

@@ -115,6 +115,15 @@ class TestFitPs:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("model", ["qnn_sam", "qnn_f_backend"])
+    def test_stochastic_circuit_scores_replay_byte_identical(self, tmp_path, fast_config, model):
+        run(*gen_args(tmp_path, n=60))
+        args = ("fit-ps", "--out-dir", str(tmp_path), "--model", model, "--config", fast_config)
+        assert run(*args) == EXIT_OK
+        first = (tmp_path / "scores.csv").read_bytes()
+        assert run(*args) == EXIT_OK
+        assert (tmp_path / "scores.csv").read_bytes() == first
+
     def test_roc_csv_reparses(self, tmp_path):
         import csv
 
@@ -127,6 +136,29 @@ class TestFitPs:
         assert fpr[0] == 0.0 and tpr[0] == 0.0
         assert fpr[-1] == 1.0 and tpr[-1] == 1.0
         assert all(b >= a for a, b in zip(fpr, fpr[1:]))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "column, token",
+        [("Survival_Time", "inf"), ("Survival_Time", "NAN"), ("Stage", "inf")],
+    )
+    def test_rejected_with_row_and_column(self, tmp_path, capsys, column, token):
+        import csv
+
+        run(*gen_args(tmp_path, n=40))
+        path = tmp_path / "cohort.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[0][column] = token  # data row 1 is file row 2
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert run("fit-ps", "--out-dir", str(tmp_path)) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "row 2" in err and repr(column) in err
 
 
 def prepared_dir(tmp_path, n=200, seed=0):

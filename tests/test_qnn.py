@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qcausal.qnn import (
     EvalMode,
+    FittedQnn,
     QnnConfig,
     QnnParams,
     fit,
@@ -16,10 +18,11 @@ from qcausal.qnn import (
     loss_variance,
     predict,
     predict_propensity,
+    predict_propensities,
     total_loss,
     unpack_params,
 )
-from qcausal.quantum import NoiseModel
+from qcausal.quantum import EncodingCircuit, NoiseModel
 
 
 def zeroed_params(config, overrides=None, a=0.0):
@@ -296,3 +299,39 @@ class TestNoisyMode:
         config = QnnConfig(n_qubits=1, eval_mode=EvalMode.noisy(noise, 128), seed=5)
         params = initial_params(config)
         assert predict(params, [0.4], config) == predict(params, [0.4], config)
+
+
+class TestBatchedEngine:
+    """All rows evaluated at once against per-row sums of the dense oracle."""
+
+    @pytest.mark.parametrize("variational, layers", [(False, 1), (False, 2), (True, 1), (True, 2)])
+    def test_matches_dense_oracle(self, variational, layers):
+        rng = np.random.default_rng(40 + 2 * layers + variational)
+        for _ in range(4):
+            n = int(rng.integers(1, 5))
+            config = QnnConfig(
+                n_qubits=n, layers=layers, variational_enabled=variational, alpha=0.01
+            )
+            params = unpack_params(rng.uniform(-0.6, 0.6, config.n_params), config)
+            X = rng.uniform(0, math.pi, (12, n))
+            y = (rng.random(12) < 0.5).astype(float)
+            w = rng.uniform(0.5, 2.0, 12)
+            obs = params.observable()
+            gates = [EncodingCircuit(n, layers, row, params.circuit_angles).gate_ops() for row in X]
+            f = np.array([oracles.dense_expectation(g, obs, n) for g in gates])
+            var = np.array([oracles.dense_variance(g, obs, n) for g in gates])
+
+            for row, want in zip(X, f):
+                assert predict(params, row, config) == pytest.approx(want, abs=1e-12)
+            eps = config.clip_epsilon
+            scores = predict_propensities(FittedQnn(config, params), X)
+            assert np.max(np.abs(scores - np.clip(f, eps, 1 - eps))) <= 1e-12
+            assert loss_variance(params, X, config) == pytest.approx(var.sum(), abs=1e-12)
+            want_total = np.sum(w * (f - y) ** 2) + config.alpha * var.sum()
+            assert total_loss(params, X, y, w, config) == pytest.approx(want_total, abs=1e-12)
+
+    def test_identical_rows_get_independent_draws(self):
+        config = QnnConfig(n_qubits=2, eval_mode=EvalMode.sampled(64), seed=3)
+        fitted = FittedQnn(config, initial_params(config))
+        scores = predict_propensities(fitted, np.tile([0.4, 1.1], (20, 1)))
+        assert len(set(scores.tolist())) > 1

@@ -246,3 +246,28 @@ class TestNoisySampling:
         a = sample_noisy_expectation(circuit, obs, noise, 1024, seed=4)
         b = sample_noisy_expectation(circuit, obs, noise, 1024, seed=4)
         assert a == b
+
+    def test_many_shot_mean_matches_density_matrix_oracle(self):
+        rng = np.random.default_rng(17)
+        shots = 200_000
+        for case in range(12):
+            circuit = oracles.random_circuit(rng)
+            n = circuit.n_qubits
+            obs = oracles.random_observable(rng, n)
+            noise = NoiseModel(
+                depolarizing_prob=float(rng.uniform(0, 0.15)),
+                readout_flip_prob=float(rng.uniform(0, 0.1)),
+            )
+            gates = circuit.gate_ops()
+            if case % 2:
+                # any gate order, interleaving qubits, goes through the same core
+                gates = [gates[i] for i in rng.permutation(len(gates))]
+                est = sample_noisy_expectation_from_gates(gates, n, obs, noise, shots, seed=case)
+            else:
+                est = sample_noisy_expectation(circuit, obs, noise, shots, seed=case)
+            means = oracles.dense_noisy_term_means(gates, obs, n, noise)
+            want = obs.identity_coeff + sum(c * means[k] for k, c in obs.pauli_coeffs.items())
+            se = math.sqrt(
+                sum(c * c * (1 - means[k] ** 2) for k, c in obs.pauli_coeffs.items()) / shots
+            )
+            assert abs(est - want) <= 4 * se + 1e-12, (case, est, want, se)
