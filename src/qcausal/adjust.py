@@ -1,12 +1,24 @@
 """Score-based matching, weighting schemes, and covariate balance diagnostics.
 
 Matching is 1:1 without replacement.  Greedy nearest-neighbor processes
-treated subjects in descending score order under a caliper of
-caliper_multiplier * std(scores); optimal matching solves the same problem as
-a minimum-cost assignment where unmatched treated subjects fall back to
+treated subjects in descending score order (ties by index) under a caliper
+of caliper_multiplier * std(scores); optimal matching solves the same problem
+as a minimum-cost assignment where unmatched treated subjects fall back to
 dummy columns.  Genetic matching searches a positive diagonal metric over
 standardized covariates plus the score, scoring candidates by the mean
 absolute standardized mean difference after matching.
+
+Both greedy matchers run on one core.  It builds the caliper window once per
+call: the (treated, control) pairs whose score gap is not beyond the
+caliper, in row-major order, so each treated subject's candidates stay in
+ascending control index.  Distances are computed only inside the window:
+|score gap| for nearest-neighbor matching, and for genetic matching each
+genome's weighted Euclidean distance, gathered element by element from the
+same full-matrix arithmetic, so every bit matches.  One pass over the
+treated subjects then matches a whole generation of genomes at once, in
+blocks of at most _BLOCK_BYTES of distances; each subject takes its nearest
+control not yet taken by the same genome, equal distances go to the lowest
+control index, and a subject with no finite candidate stays unmatched.
 
 Weighting schemes, with e = score and Z the arm indicator:
 
@@ -19,6 +31,7 @@ Weighting schemes, with e = score and Z the arm indicator:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,15 +83,25 @@ def _split_groups(z) -> tuple[np.ndarray, np.ndarray]:
     return treated, control
 
 
+def effective_sample_size(weights) -> float:
+    """Kish's effective sample size (sum w)^2 / sum w^2."""
+    weights = np.asarray(weights, dtype=float)
+    return float(weights.sum() ** 2 / float(weights @ weights))
+
+
 def _weighted_mean_var(values, weights):
     """Weighted mean and variance with the effective-sample-size dof correction."""
     wsum = weights.sum()
     mean = float(weights @ values / wsum)
-    n_eff = wsum**2 / float(weights @ weights)
+    n_eff = effective_sample_size(weights)
     if n_eff <= 1:
         return mean, 0.0, n_eff
     var = float(weights @ (values - mean) ** 2 / wsum) * n_eff / (n_eff - 1.0)
     return mean, var, n_eff
+
+
+def _is_binary(values) -> bool:
+    return set(np.unique(values)) <= {0.0, 1.0}
 
 
 def smd(values, z, weights=None) -> float:
@@ -90,7 +113,7 @@ def smd(values, z, weights=None) -> float:
     values = np.asarray(values, dtype=float)
     treated, control = _split_groups(z)
     weights = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=float)
-    binary = set(np.unique(values)) <= {0.0, 1.0}
+    binary = _is_binary(values)
 
     stats = []
     for idx in (treated, control):
@@ -131,32 +154,90 @@ def score_caliper(ps, multiplier: float = 0.25) -> float:
     return float(multiplier * np.std(np.asarray(ps, dtype=float), ddof=1))
 
 
-def _greedy_match(order, distances, caliper):
-    """Greedy 1:1 match given treated processing order and a distance matrix."""
-    pairs = []
-    unmatched = []
-    work = np.array(distances, dtype=float)  # taken controls get retired in place
-    for row, _ in order:
-        d = work[row]
-        best = int(np.argmin(d))  # ties resolve to the lowest control index
-        if np.isfinite(d[best]) and d[best] <= caliper:
-            work[:, best] = np.inf
-            pairs.append((row, best))
-        else:
-            unmatched.append(row)
-    return pairs, unmatched
+# Distance rows of one greedy pass over a generation are capped at this many
+# bytes; a larger population is matched in blocks of genomes.
+_BLOCK_BYTES = 4 << 20
+
+
+class _GreedyCore:
+    """Greedy 1:1 matching of one cohort, shared by every distance metric.
+
+    Everything that does not depend on the metric is built once: the arms,
+    the order treated subjects are visited in (descending score, then
+    index), and the caliper window, the (treated, control) pairs whose score
+    gap is not beyond the caliper, in row-major order.  `run` then matches
+    any number of metrics (genomes) in one pass over the treated subjects.
+    """
+
+    def __init__(self, ps, z, caliper: float):
+        self.treated, self.control = _split_groups(z)
+        ps_t, ps_c = ps[self.treated], ps[self.control]
+        self.caliper = caliper
+        self.order = np.array([r for _, r in sorted(zip((-ps_t).tolist(), range(len(ps_t))))])
+        gap = ps_t[:, None] - ps_c[None, :]
+        np.abs(gap, out=gap)
+        # window positions in the flattened treated x control matrix
+        self.flat = np.flatnonzero(~(gap > caliper))
+        self.rows, self.cols = np.divmod(self.flat, len(ps_c))
+        bounds = np.searchsorted(self.rows, np.arange(len(ps_t) + 1))
+        starts, stops = bounds[self.order], bounds[self.order + 1]
+        steps = np.flatnonzero(starts < stops)
+        # (step of order, window slice) of each treated subject with a candidate
+        self.segments = list(zip(steps.tolist(), starts[steps].tolist(), stops[steps].tolist()))
+
+    def run(self, distances, limit: float) -> np.ndarray:
+        """Greedy match for each row of `distances` (genomes x window).
+
+        Returns, per genome, the control position taken at each step of
+        `order`, or len(control) where that treated subject stays unmatched.
+        A candidate is taken only when its distance is finite and within
+        `limit`; equal distances resolve to the lowest control index.
+        """
+        n_genomes, n_control = len(distances), len(self.control)
+        bound = min(limit, sys.float_info.max)  # a NaN limit accepts nothing
+        # column n_control absorbs the writes of unmatched steps
+        taken = np.zeros((n_genomes, n_control + 1), dtype=bool)
+        picks = np.full((n_genomes, len(self.order)), n_control, dtype=np.intp)
+        if n_genomes == 1:
+            # one metric: scalar steps cost a third of those on 1 x k arrays
+            row, taken_row, pick_row = distances[0], taken[0], picks[0]
+            for step, start, stop in self.segments:
+                candidates = self.cols[start:stop]
+                d = np.where(taken_row.take(candidates), np.inf, row[start:stop])
+                best = d.argmin()
+                if d[best] <= bound:
+                    pick_row[step] = candidates[best]
+                    taken_row[pick_row[step]] = True
+            return picks
+        genome = np.arange(n_genomes)
+        for step, start, stop in self.segments:
+            candidates = self.cols[start:stop]
+            d = np.where(taken.take(candidates, axis=1), np.inf, distances[:, start:stop])
+            best = d.argmin(axis=1)
+            pick = np.where(d[genome, best] <= bound, candidates.take(best), n_control)
+            taken[genome, pick] = True
+            picks[:, step] = pick
+        return picks
+
+    def pair_indices(self, picks) -> tuple[np.ndarray, np.ndarray]:
+        """Treated and control subjects of one genome's pairs, in match order."""
+        matched = picks < len(self.control)
+        return self.treated[self.order[matched]], self.control[picks[matched]]
+
+    def match_set(self, picks) -> MatchSet:
+        """The MatchSet of one genome's row of `run` output."""
+        treated, control = self.pair_indices(picks)
+        unmatched = self.treated[self.order[picks == len(self.control)]]
+        pairs = tuple(zip(treated.tolist(), control.tolist()))
+        return MatchSet(pairs, tuple(unmatched.tolist()), self.caliper)
 
 
 def nearest_neighbor_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
     """Greedy 1:1 matching on the score, treated visited in descending score."""
     ps = np.asarray(ps, dtype=float)
-    treated, control = _split_groups(z)
-    caliper = score_caliper(ps, caliper_multiplier)
-    distances = np.abs(ps[treated][:, None] - ps[control][None, :])
-    order = sorted(enumerate(ps[treated]), key=lambda kv: (-kv[1], kv[0]))
-    rows, unmatched = _greedy_match(order, distances, caliper)
-    pairs = tuple((int(treated[r]), int(control[c])) for r, c in rows)
-    return MatchSet(pairs, tuple(int(treated[r]) for r in unmatched), caliper)
+    core = _GreedyCore(ps, z, score_caliper(ps, caliper_multiplier))
+    distances = np.abs(ps[core.treated][core.rows] - ps[core.control][core.cols])
+    return core.match_set(core.run(distances[None, :], core.caliper)[0])
 
 
 def optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
@@ -198,38 +279,25 @@ def _standardize(matrix):
     return (matrix - matrix.mean(axis=0)) / std
 
 
-def _metric_match(features, ps, z, metric_weights, caliper):
-    """Greedy NN match in the weighted Euclidean metric, score caliper applied.
-
-    The caliper keeps the match selective: without it, balanced arm sizes
-    would always match the whole cohort and balance could not change.
-    """
-    ps = np.asarray(ps, dtype=float)
-    treated, control = _split_groups(z)
-    scaled = features * np.sqrt(metric_weights)
-    a, b = scaled[treated], scaled[control]
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    distances = np.sqrt(np.clip(sq, 0.0, None))
-    distances[np.abs(ps[treated][:, None] - ps[control][None, :]) > caliper] = np.inf
-    order = sorted(enumerate(ps[treated]), key=lambda kv: (-kv[1], kv[0]))
-    rows, unmatched = _greedy_match(order, distances, math.inf)
-    pairs = tuple((int(treated[r]), int(control[c])) for r, c in rows)
-    return MatchSet(pairs, tuple(int(treated[r]) for r in unmatched), caliper)
-
-
 def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
+    """Mean |SMD| over the covariate columns within a match set."""
+    covariates = np.asarray(covariates)
     idx = match.matched_indices()
-    if len(idx) == 0:
+    arm = np.asarray(z)[idx]
+    binary = [_is_binary(col) for col in covariates.T]
+    return _pair_smd(covariates.T, binary, idx[arm == 1], idx[arm == 0])
+
+
+def _pair_smd(columns, binary, t_idx, c_idx) -> float:
+    """Mean |SMD| of each column between the matched treated and controls,
+    taken in pair order; dichotomous columns use p*(1-p) variances."""
+    if len(t_idx) + len(c_idx) == 0:
         return math.inf
-    sub_cov = covariates[idx]
-    sub_z = np.asarray(z)[idx]
     total = 0.0
-    for j in range(covariates.shape[1]):
-        col = sub_cov[:, j]
-        t_vals = col[sub_z == 1]
-        c_vals = col[sub_z == 0]
+    for col, is_binary in zip(columns, binary):
+        t_vals, c_vals = col[t_idx], col[c_idx]
         mt, mc = t_vals.mean(), c_vals.mean()
-        if set(np.unique(covariates[:, j])) <= {0.0, 1.0}:
+        if is_binary:
             vt, vc = mt * (1 - mt), mc * (1 - mc)
         else:
             vt = t_vals.var(ddof=1) if len(t_vals) > 1 else 0.0
@@ -239,7 +307,7 @@ def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
             total += 0.0 if mt == mc else math.inf
         else:
             total += abs(mt - mc) / math.sqrt(pooled)
-    return total / covariates.shape[1]
+    return total / len(columns)
 
 
 def genetic_match(
@@ -268,14 +336,49 @@ def genetic_match(
     rng = np.random.default_rng(seed)
     features = _standardize(np.column_stack([covariates, ps]))
     d = features.shape[1]
-    caliper = score_caliper(ps, caliper_multiplier)
+    # The score caliper keeps the match selective: without it, balanced arm
+    # sizes would always match the whole cohort and balance could not change.
+    core = _GreedyCore(ps, z, score_caliper(ps, caliper_multiplier))
+    features_t, features_c = features[core.treated], features[core.control]
+    columns = np.ascontiguousarray(covariates.T)
+    binary = [_is_binary(col) for col in columns]
+    width = len(core.cols)
+    block = min(population, max(1, _BLOCK_BYTES // (8 * max(width, 1))))
+    # buffers reused by every genome: the full cross product, one window
+    # term, and the window distances of one block of genomes
+    cross = np.empty((len(core.treated), len(core.control)))
+    term = np.empty(width)
+    buffer = np.empty((block, width))
 
-    def evaluate(genome):
-        return _mean_abs_smd(covariates, z, _metric_match(features, ps, z, genome, caliper))
+    def window_distances(genome, out):
+        """Weighted Euclidean distances inside the caliper window, element
+        for element the arithmetic of the full treated x control matrix:
+        sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))."""
+        weight = np.sqrt(genome)
+        a, b = features_t * weight, features_c * weight
+        np.matmul(a, b.T, out=cross)
+        np.take((a * a).sum(axis=1), core.rows, out=out)
+        out += np.take((b * b).sum(axis=1), core.cols, out=term)
+        out -= np.multiply(np.take(cross, core.flat, out=term), 2.0, out=term)
+        np.clip(out, 0.0, None, out=out)
+        np.sqrt(out, out=out)
+
+    def evaluate(genomes):
+        """Greedy matches of a whole generation and their mean |SMD|."""
+        picks = []
+        for start in range(0, len(genomes), block):
+            chunk = genomes[start : start + block]
+            distances = buffer[: len(chunk)]
+            for genome, out in zip(chunk, distances):
+                window_distances(genome, out)
+            picks.append(core.run(distances, math.inf))
+        picks = np.concatenate(picks)
+        fitness = [_pair_smd(columns, binary, *core.pair_indices(row)) for row in picks]
+        return picks, np.array(fitness)
 
     genomes = np.exp(rng.normal(0.0, 0.5, size=(population, d)))
     genomes[0] = 1.0  # identity-metric candidate
-    fitness = np.array([evaluate(g) for g in genomes])
+    matches, fitness = evaluate(genomes)
 
     for _ in range(generations):
         elite = int(np.argmin(fitness))
@@ -293,10 +396,9 @@ def genetic_match(
             child = child * np.exp(rng.normal(0.0, 0.2, size=d))
             children.append(child)
         genomes = np.asarray(children)
-        fitness = np.array([evaluate(g) for g in genomes])
+        matches, fitness = evaluate(genomes)
 
-    best = genomes[int(np.argmin(fitness))]
-    return _metric_match(features, ps, z, best, caliper)
+    return core.match_set(matches[int(np.argmin(fitness))])
 
 
 # ---------------------------------------------------------------------------
@@ -325,43 +427,36 @@ def two_sample_t_test(values, z, weights=None) -> float:
     return float(2.0 * t_dist.sf(abs(t_stat), df))
 
 
-def chi_square_test(categories, z, weights=None) -> float:
-    """Pearson chi-square on the category-by-arm table, df = k - 1."""
+def _contingency_table(categories, z, weights):
+    """Category-by-arm weight totals (empty categories dropped) and the
+    counts expected under independence."""
     categories = np.asarray(categories)
     z = np.asarray(z, dtype=float)
     weights = np.ones(len(z)) if weights is None else np.asarray(weights, dtype=float)
     levels = np.unique(categories)
-
     table = np.zeros((len(levels), 2))
     for i, level in enumerate(levels):
         for g, arm in enumerate((0.0, 1.0)):
             table[i, g] = weights[(categories == level) & (z == arm)].sum()
     table = table[table.sum(axis=1) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    return table, expected
+
+
+def chi_square_test(categories, z, weights=None) -> float:
+    """Pearson chi-square on the category-by-arm table, df = k - 1."""
+    table, expected = _contingency_table(categories, z, weights)
     if len(table) < 2:
         raise ValueError("need at least two non-empty categories")
-
-    total = table.sum()
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
     if np.any(expected <= 0):
         raise ValueError("expected counts must be positive")
     stat = float(np.sum((table - expected) ** 2 / expected))
-    df = len(table) - 1
-    return float(chi2_dist.sf(stat, df))
+    return float(chi2_dist.sf(stat, len(table) - 1))
 
 
 def chi_square_statistic(categories, z, weights=None) -> float:
     """The raw Pearson statistic (exposed for fixture checks)."""
-    categories = np.asarray(categories)
-    z = np.asarray(z, dtype=float)
-    weights = np.ones(len(z)) if weights is None else np.asarray(weights, dtype=float)
-    levels = np.unique(categories)
-    table = np.zeros((len(levels), 2))
-    for i, level in enumerate(levels):
-        for g, arm in enumerate((0.0, 1.0)):
-            table[i, g] = weights[(categories == level) & (z == arm)].sum()
-    table = table[table.sum(axis=1) > 0]
-    total = table.sum()
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
+    table, expected = _contingency_table(categories, z, weights)
     return float(np.sum((table - expected) ** 2 / expected))
 
 

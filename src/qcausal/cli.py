@@ -340,6 +340,25 @@ def _write_balance(out_dir: Path, report, method: str) -> None:
     _write_json(out_dir / "balance.json", {**report, "adjustment": method})
 
 
+def _adjustment_record(adjustment, z: np.ndarray) -> dict:
+    """What the adjustment itself did: the caliper and pair counts of a
+    match, or the per-arm effective sample size and largest weight."""
+    if isinstance(adjustment, adj.WeightVector):
+        w = adjustment.weights
+        return {
+            "effective_sample_size": {
+                "treated": adj.effective_sample_size(w[z == 1.0]),
+                "control": adj.effective_sample_size(w[z == 0.0]),
+            },
+            "max_weight": float(w.max()),
+        }
+    return {
+        "caliper": adjustment.caliper,
+        "n_pairs": len(adjustment.pairs),
+        "n_unmatched_treated": len(adjustment.unmatched_treated),
+    }
+
+
 def cmd_adjust(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     cohort = _load_cohort(out_dir)
@@ -350,27 +369,21 @@ def cmd_adjust(config: RunConfig) -> int:
 
     adjustment = _compute_adjustment(config, cohort, ps)
     balance_covs = list(SURVIVAL_COVARIATES)
+    record = _adjustment_record(adjustment, cohort.z)
 
+    # one adjustment file per directory: survival reads whichever exists
     if isinstance(adjustment, adj.WeightVector):
+        (out_dir / "pairs.csv").unlink(missing_ok=True)
         _write_csv(
             out_dir / "weights.csv",
             ["subject", "weight"],
             [(i, repr(float(w))) for i, w in enumerate(adjustment.weights)],
         )
-        report = adj.balance_report(cohort, ps, adjustment, balance_covs)
-        _write_balance(
-            out_dir,
-            {
-                "rows": report.as_records(),
-                "mean_abs_smd_before": report.mean_abs_smd_before,
-                "mean_abs_smd_after": report.mean_abs_smd_after,
-            },
-            config.adjust,
-        )
-        return EXIT_OK
+    else:
+        (out_dir / "weights.csv").unlink(missing_ok=True)
+        _write_csv(out_dir / "pairs.csv", ["treated", "control"], list(adjustment.pairs))
 
-    _write_csv(out_dir / "pairs.csv", ["treated", "control"], list(adjustment.pairs))
-    if not adjustment.pairs:
+    if isinstance(adjustment, adj.MatchSet) and not adjustment.pairs:
         rows = []
         for name in balance_covs:
             spec = cohort.schema.variable(name)
@@ -394,7 +407,7 @@ def cmd_adjust(config: RunConfig) -> int:
         mean_before = float(np.mean([abs(r["smd_before"]) for r in rows]))
         _write_balance(
             out_dir,
-            {"rows": rows, "mean_abs_smd_before": mean_before, "mean_abs_smd_after": None},
+            {"rows": rows, "mean_abs_smd_before": mean_before, "mean_abs_smd_after": None, **record},
             config.adjust,
         )
         print("qcausal adjust: empty match set; reports written", file=sys.stderr)
@@ -407,6 +420,7 @@ def cmd_adjust(config: RunConfig) -> int:
             "rows": report.as_records(),
             "mean_abs_smd_before": report.mean_abs_smd_before,
             "mean_abs_smd_after": report.mean_abs_smd_after,
+            **record,
         },
         config.adjust,
     )
@@ -428,6 +442,11 @@ def cmd_survival(config: RunConfig) -> int:
 
     weights_path = out_dir / "weights.csv"
     pairs_path = out_dir / "pairs.csv"
+    if weights_path.exists() and pairs_path.exists():
+        raise ValueError(
+            "both weights.csv and pairs.csv exist, so the adjustment is ambiguous; "
+            "re-run `qcausal adjust`"
+        )
     if weights_path.exists():
         weights = read_weights(weights_path)
         analysis = cohort

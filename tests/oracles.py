@@ -1,10 +1,16 @@
-"""Brute-force oracles kept independent of the package's own simulator code.
+"""Brute-force oracles kept independent of the package's own code.
 
-Everything here builds full 2**n x 2**n matrices with numpy.kron and composes
-them explicitly, so agreement with the package is a genuine cross-check.
+The circuit oracles build full 2**n x 2**n matrices with numpy.kron and
+compose them explicitly, so agreement with the package is a genuine
+cross-check.  The matching oracles are the earlier one-genome-at-a-time
+greedy matchers on full treated x control distance matrices.
 """
 
+import math
+
 import numpy as np
+
+from qcausal.adjust import MatchSet
 
 SQ2 = 1.0 / np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * SQ2
@@ -113,3 +119,159 @@ def random_circuit(rng, max_qubits=4):
     if rng.random() < 0.5:
         variational = rng.uniform(-np.pi, np.pi, size=2 * n * layers)
     return build_feature_map(x, layers=layers, variational=variational)
+
+
+# ---------------------------------------------------------------------------
+# matching reference: the per-genome greedy matcher that the package's
+# caliper-windowed, generation-batched core replaced, kept verbatim
+# ---------------------------------------------------------------------------
+
+
+def _split_groups(z) -> tuple[np.ndarray, np.ndarray]:
+    z = np.asarray(z, dtype=float)
+    treated = np.flatnonzero(z == 1.0)
+    control = np.flatnonzero(z == 0.0)
+    if len(treated) == 0 or len(control) == 0:
+        raise ValueError("both groups must be non-empty")
+    return treated, control
+
+
+def score_caliper(ps, multiplier: float = 0.25) -> float:
+    """Maximum allowed score distance inside a pair: multiplier * std of scores."""
+    return float(multiplier * np.std(np.asarray(ps, dtype=float), ddof=1))
+
+
+def _greedy_match(order, distances, caliper):
+    """Greedy 1:1 match given treated processing order and a distance matrix."""
+    pairs = []
+    unmatched = []
+    work = np.array(distances, dtype=float)  # taken controls get retired in place
+    for row, _ in order:
+        d = work[row]
+        best = int(np.argmin(d))  # ties resolve to the lowest control index
+        if np.isfinite(d[best]) and d[best] <= caliper:
+            work[:, best] = np.inf
+            pairs.append((row, best))
+        else:
+            unmatched.append(row)
+    return pairs, unmatched
+
+
+def nearest_neighbor_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
+    """Greedy 1:1 matching on the score, treated visited in descending score."""
+    ps = np.asarray(ps, dtype=float)
+    treated, control = _split_groups(z)
+    caliper = score_caliper(ps, caliper_multiplier)
+    distances = np.abs(ps[treated][:, None] - ps[control][None, :])
+    order = sorted(enumerate(ps[treated]), key=lambda kv: (-kv[1], kv[0]))
+    rows, unmatched = _greedy_match(order, distances, caliper)
+    pairs = tuple((int(treated[r]), int(control[c])) for r, c in rows)
+    return MatchSet(pairs, tuple(int(treated[r]) for r in unmatched), caliper)
+
+
+def _standardize(matrix):
+    matrix = np.asarray(matrix, dtype=float)
+    std = matrix.std(axis=0, ddof=1)
+    std[std == 0] = 1.0
+    return (matrix - matrix.mean(axis=0)) / std
+
+
+def _metric_match(features, ps, z, metric_weights, caliper):
+    """Greedy NN match in the weighted Euclidean metric, score caliper applied.
+
+    The caliper keeps the match selective: without it, balanced arm sizes
+    would always match the whole cohort and balance could not change.
+    """
+    ps = np.asarray(ps, dtype=float)
+    treated, control = _split_groups(z)
+    scaled = features * np.sqrt(metric_weights)
+    a, b = scaled[treated], scaled[control]
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    distances = np.sqrt(np.clip(sq, 0.0, None))
+    distances[np.abs(ps[treated][:, None] - ps[control][None, :]) > caliper] = np.inf
+    order = sorted(enumerate(ps[treated]), key=lambda kv: (-kv[1], kv[0]))
+    rows, unmatched = _greedy_match(order, distances, math.inf)
+    pairs = tuple((int(treated[r]), int(control[c])) for r, c in rows)
+    return MatchSet(pairs, tuple(int(treated[r]) for r in unmatched), caliper)
+
+
+def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
+    idx = match.matched_indices()
+    if len(idx) == 0:
+        return math.inf
+    sub_cov = covariates[idx]
+    sub_z = np.asarray(z)[idx]
+    total = 0.0
+    for j in range(covariates.shape[1]):
+        col = sub_cov[:, j]
+        t_vals = col[sub_z == 1]
+        c_vals = col[sub_z == 0]
+        mt, mc = t_vals.mean(), c_vals.mean()
+        if set(np.unique(covariates[:, j])) <= {0.0, 1.0}:
+            vt, vc = mt * (1 - mt), mc * (1 - mc)
+        else:
+            vt = t_vals.var(ddof=1) if len(t_vals) > 1 else 0.0
+            vc = c_vals.var(ddof=1) if len(c_vals) > 1 else 0.0
+        pooled = (vt + vc) / 2.0
+        if pooled <= 0:
+            total += 0.0 if mt == mc else math.inf
+        else:
+            total += abs(mt - mc) / math.sqrt(pooled)
+    return total / covariates.shape[1]
+
+
+def genetic_match(
+    covariates,
+    z,
+    ps,
+    population: int = 100,
+    generations: int = 30,
+    seed: int = 0,
+    caliper_multiplier: float = 0.25,
+) -> MatchSet:
+    """Evolve a diagonal metric over (standardized covariates, score) that
+    minimizes the mean |SMD| after greedy matching in that metric.
+
+    Tournament selection of size 3, uniform crossover at rate 0.5, log-normal
+    gene mutation with sigma 0.2, one elite per generation; the unit metric is
+    seeded into the initial population, so the result never balances worse
+    than plain nearest-neighbor matching in standardized coordinates.
+    """
+    covariates = np.asarray(covariates, dtype=float)
+    if covariates.ndim != 2 or covariates.shape[1] < 1:
+        raise ValueError("covariates must be a non-empty 2-d matrix")
+    if population < 4:
+        raise ValueError("population must be >= 4")
+    ps = np.asarray(ps, dtype=float)
+    rng = np.random.default_rng(seed)
+    features = _standardize(np.column_stack([covariates, ps]))
+    d = features.shape[1]
+    caliper = score_caliper(ps, caliper_multiplier)
+
+    def evaluate(genome):
+        return _mean_abs_smd(covariates, z, _metric_match(features, ps, z, genome, caliper))
+
+    genomes = np.exp(rng.normal(0.0, 0.5, size=(population, d)))
+    genomes[0] = 1.0  # identity-metric candidate
+    fitness = np.array([evaluate(g) for g in genomes])
+
+    for _ in range(generations):
+        elite = int(np.argmin(fitness))
+        children = [genomes[elite].copy()]
+        while len(children) < population:
+            picks = rng.integers(0, population, size=3)
+            parent_a = genomes[picks[np.argmin(fitness[picks])]]
+            picks = rng.integers(0, population, size=3)
+            parent_b = genomes[picks[np.argmin(fitness[picks])]]
+            if rng.random() < 0.5:
+                take = rng.random(d) < 0.5
+                child = np.where(take, parent_a, parent_b)
+            else:
+                child = parent_a.copy()
+            child = child * np.exp(rng.normal(0.0, 0.2, size=d))
+            children.append(child)
+        genomes = np.asarray(children)
+        fitness = np.array([evaluate(g) for g in genomes])
+
+    best = genomes[int(np.argmin(fitness))]
+    return _metric_match(features, ps, z, best, caliper)

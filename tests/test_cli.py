@@ -334,3 +334,70 @@ class TestPipeline:
     def test_invalid_model_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             run("pipeline", "--out-dir", str(tmp_path), "--model", "mystery")
+
+
+class TestAdjustmentFiles:
+    def test_switching_adjustment_leaves_no_stale_weights(self, tmp_path):
+        out = prepared_dir(tmp_path, n=200, seed=6)
+        cfg = out / "fast.cfg"
+        cfg.write_text("genetic_generations=1\n", encoding="utf-8")
+        assert run("adjust", "--out-dir", str(out), "--adjust", "mw") == EXIT_OK
+        code = run(
+            "adjust", "--out-dir", str(out), "--adjust", "genetic100", "--config", str(cfg)
+        )
+        assert code == EXIT_OK
+        assert not (out / "weights.csv").exists()
+        assert run("survival", "--out-dir", str(out), "--adjust", "genetic100") == EXIT_OK
+        pairs = read_pairs(out / "pairs.csv")
+        assert json.loads((out / "cox.json").read_text())["n"] == 2 * len(pairs)
+        # and back: weighting removes the pairs
+        assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK
+        assert not (out / "pairs.csv").exists()
+
+    def test_survival_refuses_both_adjustment_files(self, tmp_path, capsys):
+        out = prepared_dir(tmp_path)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        (out / "weights.csv").write_text(
+            "subject,weight\n" + "".join(f"{i},1.0\n" for i in range(200)), encoding="utf-8"
+        )
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        assert "weights.csv and pairs.csv" in capsys.readouterr().err
+        assert not (out / "cox.json").exists()
+
+
+class TestBalanceRecord:
+    def test_match_records_caliper_and_counts(self, tmp_path):
+        out = prepared_dir(tmp_path, n=300, seed=2)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        payload = json.loads((out / "balance.json").read_text())
+        z, ps = read_scores(out / "scores.csv")
+        pairs = read_pairs(out / "pairs.csv")
+        assert payload["caliper"] == pytest.approx(0.25 * np.std(ps, ddof=1), rel=1e-12)
+        assert payload["n_pairs"] == len(pairs)
+        assert payload["n_unmatched_treated"] == int(z.sum()) - len(pairs)
+
+    def test_empty_match_records_counts(self, tmp_path):
+        out = prepared_dir(tmp_path, n=60, seed=3)
+        z = read_scores(out / "scores.csv")[0]
+        (out / "scores.csv").write_text(
+            "subject,z,propensity\n"
+            + "".join(f"{i},{int(v)},{0.4 + 0.2 * int(v)}\n" for i, v in enumerate(z)),
+            encoding="utf-8",
+        )
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_EMPTY_MATCH
+        payload = json.loads((out / "balance.json").read_text())
+        assert payload["n_pairs"] == 0
+        assert payload["n_unmatched_treated"] == int(z.sum())
+
+    def test_weights_record_effective_sample_size(self, tmp_path):
+        out = prepared_dir(tmp_path, n=300, seed=2)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK
+        payload = json.loads((out / "balance.json").read_text())
+        z = read_scores(out / "scores.csv")[0]
+        w = read_weights(out / "weights.csv")
+        for arm, value in (("treated", 1.0), ("control", 0.0)):
+            wa = w[z == value]
+            expected = wa.sum() ** 2 / (wa**2).sum()
+            assert payload["effective_sample_size"][arm] == pytest.approx(expected, rel=1e-12)
+            assert payload["effective_sample_size"][arm] <= len(wa)
+        assert payload["max_weight"] == w.max()
