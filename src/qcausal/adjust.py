@@ -9,16 +9,18 @@ standardized covariates plus the score, scoring candidates by the mean
 absolute standardized mean difference after matching.
 
 Both greedy matchers run on one core.  It builds the caliper window once per
-call: the (treated, control) pairs whose score gap is not beyond the
-caliper, in row-major order, so each treated subject's candidates stay in
-ascending control index.  Distances are computed only inside the window:
+call: the (treated, control) pairs whose score gap is within the caliper,
+in row-major order, so each treated subject's candidates stay in ascending
+control index.  Distances are computed only inside the window:
 |score gap| for nearest-neighbor matching, and for genetic matching each
 genome's weighted Euclidean distance, gathered element by element from the
 same full-matrix arithmetic, so every bit matches.  One pass over the
 treated subjects then matches a whole generation of genomes at once, in
 blocks of at most _BLOCK_BYTES of distances; each subject takes its nearest
 control not yet taken by the same genome, equal distances go to the lowest
-control index, and a subject with no finite candidate stays unmatched.
+control index, and a subject whose candidates are all taken stays unmatched.
+Distances must be finite: genetic matching raises ValueError on non-finite
+covariates.
 
 Weighting schemes, with e = score and Z the arm indicator:
 
@@ -31,7 +33,6 @@ Weighting schemes, with e = score and Z the arm indicator:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,8 +166,8 @@ class _GreedyCore:
     Everything that does not depend on the metric is built once: the arms,
     the order treated subjects are visited in (descending score, then
     index), and the caliper window, the (treated, control) pairs whose score
-    gap is not beyond the caliper, in row-major order.  `run` then matches
-    any number of metrics (genomes) in one pass over the treated subjects.
+    gap is within the caliper, in row-major order.  `run` then matches any
+    number of metrics (genomes) in one pass over the treated subjects.
     """
 
     def __init__(self, ps, z, caliper: float):
@@ -176,8 +177,9 @@ class _GreedyCore:
         self.order = np.array([r for _, r in sorted(zip((-ps_t).tolist(), range(len(ps_t))))])
         gap = ps_t[:, None] - ps_c[None, :]
         np.abs(gap, out=gap)
-        # window positions in the flattened treated x control matrix
-        self.flat = np.flatnonzero(~(gap > caliper))
+        # window positions in the flattened treated x control matrix; a NaN
+        # caliper (from a NaN score) leaves the window empty
+        self.flat = np.flatnonzero(gap <= caliper)
         self.rows, self.cols = np.divmod(self.flat, len(ps_c))
         bounds = np.searchsorted(self.rows, np.arange(len(ps_t) + 1))
         starts, stops = bounds[self.order], bounds[self.order + 1]
@@ -185,38 +187,38 @@ class _GreedyCore:
         # (step of order, window slice) of each treated subject with a candidate
         self.segments = list(zip(steps.tolist(), starts[steps].tolist(), stops[steps].tolist()))
 
-    def run(self, distances, limit: float) -> np.ndarray:
+    def run(self, distances) -> np.ndarray:
         """Greedy match for each row of `distances` (genomes x window).
 
         Returns, per genome, the control position taken at each step of
-        `order`, or len(control) where that treated subject stays unmatched.
-        A candidate is taken only when its distance is finite and within
-        `limit`; equal distances resolve to the lowest control index.
+        `order`, or len(control) where every candidate of that treated
+        subject was taken earlier.  Equal distances resolve to the lowest
+        control index.  The distances must be finite, so a taken control is
+        the only kind of candidate that cannot win.
         """
+        if not np.isfinite(distances.max(initial=0.0)):
+            raise ValueError("matching distances must be finite; check the covariates")
         n_genomes, n_control = len(distances), len(self.control)
-        bound = min(limit, sys.float_info.max)  # a NaN limit accepts nothing
-        # column n_control absorbs the writes of unmatched steps
-        taken = np.zeros((n_genomes, n_control + 1), dtype=bool)
+        # 0 for a free control, inf once the genome has taken it: adding it
+        # leaves a finite distance as it is and makes a taken control lose
+        penalty = np.zeros((n_genomes, n_control))
+        flat_penalty = penalty.reshape(-1)
+        genome_start = np.arange(n_genomes) * n_control
         picks = np.full((n_genomes, len(self.order)), n_control, dtype=np.intp)
-        if n_genomes == 1:
-            # one metric: scalar steps cost a third of those on 1 x k arrays
-            row, taken_row, pick_row = distances[0], taken[0], picks[0]
-            for step, start, stop in self.segments:
-                candidates = self.cols[start:stop]
-                d = np.where(taken_row.take(candidates), np.inf, row[start:stop])
-                best = d.argmin()
-                if d[best] <= bound:
-                    pick_row[step] = candidates[best]
-                    taken_row[pick_row[step]] = True
-            return picks
-        genome = np.arange(n_genomes)
         for step, start, stop in self.segments:
             candidates = self.cols[start:stop]
-            d = np.where(taken.take(candidates, axis=1), np.inf, distances[:, start:stop])
-            best = d.argmin(axis=1)
-            pick = np.where(d[genome, best] <= bound, candidates.take(best), n_control)
-            taken[genome, pick] = True
+            d = penalty.take(candidates, axis=1)
+            d += distances[:, start:stop]
+            # with every candidate taken, argmin lands on a taken control
+            pick = candidates.take(d.argmin(axis=1))
+            flat_penalty[genome_start + pick] = np.inf
             picks[:, step] = pick
+        # such a step repeats an earlier pick of its genome: it stays unmatched
+        ranks = np.argsort(picks, axis=1, kind="stable")
+        ranked = np.take_along_axis(picks, ranks, axis=1)
+        repeat = np.zeros(picks.shape, dtype=bool)
+        np.put_along_axis(repeat, ranks[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+        picks[repeat] = n_control
         return picks
 
     def pair_indices(self, picks) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +239,7 @@ def nearest_neighbor_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
     ps = np.asarray(ps, dtype=float)
     core = _GreedyCore(ps, z, score_caliper(ps, caliper_multiplier))
     distances = np.abs(ps[core.treated][core.rows] - ps[core.control][core.cols])
-    return core.match_set(core.run(distances[None, :], core.caliper)[0])
+    return core.match_set(core.run(distances[None, :])[0])
 
 
 def optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
@@ -371,7 +373,7 @@ def genetic_match(
             distances = buffer[: len(chunk)]
             for genome, out in zip(chunk, distances):
                 window_distances(genome, out)
-            picks.append(core.run(distances, math.inf))
+            picks.append(core.run(distances))
         picks = np.concatenate(picks)
         fitness = [_pair_smd(columns, binary, *core.pair_indices(row)) for row in picks]
         return picks, np.array(fitness)

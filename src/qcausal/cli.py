@@ -140,13 +140,17 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse scores.csv back into (z, propensity) arrays."""
+    """Parse scores.csv back into (z, propensity) arrays; a propensity that
+    is not a finite number is a ValueError naming its row."""
     z, ps = [], []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             z.append(float(row["z"]))
             ps.append(float(row["propensity"]))
+            if not math.isfinite(ps[-1]):
+                token = row["propensity"]
+                raise ValueError(f"{path}: row {line}: propensity is not finite: {token!r}")
     return np.asarray(z), np.asarray(ps)
 
 

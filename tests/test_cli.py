@@ -389,6 +389,16 @@ class TestBalanceRecord:
         assert payload["n_pairs"] == 0
         assert payload["n_unmatched_treated"] == int(z.sum())
 
+    def test_non_finite_score_exits_without_balance(self, tmp_path, capsys):
+        out = prepared_dir(tmp_path, n=120, seed=2)
+        lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()
+        subject, z, _ = lines[4].split(",")
+        lines[4] = f"{subject},{z},nan"
+        (out / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_FAILURE
+        assert "row 5: propensity is not finite" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
+
     def test_weights_record_effective_sample_size(self, tmp_path):
         out = prepared_dir(tmp_path, n=300, seed=2)
         assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK

@@ -89,10 +89,18 @@ def test_non_finite_score_matches_oracle():
         assert np.isnan(new.caliper) and np.isnan(old.caliper)
 
 
+def test_non_finite_covariate_is_rejected():
+    # a NaN distance could win an argmin, so the core refuses it up front
+    X, z, ps = tie_heavy_instance(1, n=30)
+    X[4, 1] = np.nan
+    with pytest.raises(ValueError, match="distances must be finite"):
+        adjust.genetic_match(X, z, ps, population=4, generations=1, seed=0)
+
+
 @pytest.mark.parametrize("per_block", [1, 3])
 def test_genome_blocks_do_not_change_the_match(monkeypatch, per_block):
-    # one genome per block runs the one-genome loop; three per block leave
-    # a one-genome block at the end of a population of ten
+    # one genome per block, or three per block with a one-genome block
+    # left at the end of a population of ten
     for seed in range(6):
         X, z, ps = tie_heavy_instance(seed, n=40)
         width = len(adjust._GreedyCore(ps, z, adjust.score_caliper(ps, 0.5)).cols)
