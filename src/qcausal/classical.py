@@ -5,11 +5,22 @@ ridge fallback when quasi-separation sends coefficients off to infinity.  The
 boosted-tree model runs stage-wise gradient boosting on binomial deviance:
 each stage fits a depth-limited least-squares regression tree to the residual
 y - p and the ensemble score is F0 + learning_rate * sum of tree outputs.
+
+Trees are grown on presorted columns (the column blocks of Chen & Guestrin,
+XGBoost, 2016).  Each feature is sorted once per fit with a stable argsort; a
+child keeps its parent's orders by a stable boolean partition, so every node
+sees its rows in ascending value, ties in row order, with no sort of its own.
+A node scores every cut of every feature in one vectorised pass over the
+cumulative residual sums, with the same per-element arithmetic as a scalar
+scan.  The winner follows a sequential rule, not argmin: the first candidate
+in feature-then-threshold order, replaced by each later one whose SSE is
+lower by more than 1e-15.  A tree is applied to a whole matrix at once by
+splitting the block of row indices at each node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,52 +127,89 @@ class TreeNode:
     value: float = 0.0
 
 
-def _best_split(X, residuals):
-    """Exact greedy SSE split; ties broken by lowest feature then threshold."""
-    n, d = X.shape
-    total = residuals.sum()
-    best = None  # (sse, feature, threshold)
-    base_sse = float(np.sum((residuals - residuals.mean()) ** 2))
-    for j in range(d):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        rs = residuals[order]
-        csum = np.cumsum(rs)
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            left_n = i + 1
-            left_sum = csum[i]
-            right_sum = total - left_sum
-            # SSE = const - sum_children (group sum)^2 / group size
-            gain = left_sum**2 / left_n + right_sum**2 / (n - left_n)
-            sse = base_sse - (gain - total**2 / n)
-            threshold = (xs[i] + xs[i + 1]) / 2.0
-            if best is None or sse < best[0] - 1e-15:
-                best = (sse, j, threshold)
-    return best
+def _best_split(X, residuals, orders, node_residuals):
+    """Exact greedy SSE split of one node: (feature, threshold), or None when
+    no feature has a cut.
+
+    `orders[j]` lists the node's rows in ascending X[:, j], ties in row order,
+    and `node_residuals` holds their residuals in ascending row order.  Every
+    cut of every feature is scored in one pass.  The winner is the first
+    candidate, in feature-then-threshold order, after each replacement by a
+    later one whose SSE is lower by more than 1e-15.
+    """
+    d, n = orders.shape
+    total = node_residuals.sum()
+    base_sse = float(np.sum((node_residuals - node_residuals.mean()) ** 2))
+    xs = X.ravel()[orders * d + np.arange(d)[:, None]]  # X[orders[j], j] per row j
+    cuts = np.flatnonzero(xs[:, :-1] != xs[:, 1:])
+    if len(cuts) == 0:
+        return None
+    feature, at = np.divmod(cuts, n - 1)
+    left_n = at + 1
+    left_sum = np.cumsum(residuals[orders], axis=1)[feature, at]
+    right_sum = total - left_sum
+    # SSE = const - sum_children (group sum)^2 / group size.  float_power is
+    # libm pow per element, as the scalar `x**2` is; the array `x**2` is x*x,
+    # which differs from pow in the last bit on some inputs.
+    gain = np.float_power(left_sum, 2) / left_n + np.float_power(right_sum, 2) / (n - left_n)
+    sse = base_sse - (gain - total**2 / n)
+    # A replacement lies below every earlier candidate, so the sequential rule
+    # only needs to visit the strict running minima.
+    lower = np.flatnonzero(sse[1:] < np.minimum.accumulate(sse)[:-1]) + 1
+    best, best_sse = 0, float(sse[0])
+    for k, value in zip(lower.tolist(), sse[lower].tolist()):
+        if value < best_sse - 1e-15:
+            best, best_sse = k, value
+    j, i = int(feature[best]), at[best]
+    return j, (xs[j, i] + xs[j, i + 1]) / 2.0
 
 
-def _fit_tree(X, residuals, depth) -> TreeNode:
-    node = TreeNode(value=float(residuals.mean()))
-    if depth == 0 or len(X) < 2 or np.allclose(residuals, residuals[0]):
+def _column_orders(X) -> np.ndarray:
+    """Row j lists the rows of X in ascending X[:, j], ties in row order."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _fit_tree(X, residuals, rows, orders, depth) -> TreeNode:
+    """Grow the subtree of the node holding `rows` (ascending), whose
+    per-feature sorted orders are the rows of `orders`."""
+    node_residuals = residuals[rows]
+    node = TreeNode(value=float(node_residuals.mean()))
+    if depth == 0 or len(rows) < 2 or np.allclose(node_residuals, node_residuals[0]):
         return node
-    found = _best_split(X, residuals)
+    found = _best_split(X, residuals, orders, node_residuals)
     if found is None:
         return node
-    _, j, threshold = found
-    mask = X[:, j] <= threshold
-    node.feature = j
-    node.threshold = threshold
-    node.left = _fit_tree(X[mask], residuals[mask], depth - 1)
-    node.right = _fit_tree(X[~mask], residuals[~mask], depth - 1)
+    node.feature, node.threshold = found
+    left = X[:, node.feature] <= node.threshold
+    # a stable partition keeps every sorted order sorted, ties in row order
+    row_left, order_left = left[rows], left[orders].ravel()
+    flat, d = orders.ravel(), len(orders)
+    node.left = _fit_tree(
+        X, residuals, rows.compress(row_left),
+        flat.compress(order_left).reshape(d, -1), depth - 1,
+    )
+    node.right = _fit_tree(
+        X, residuals, rows.compress(~row_left),
+        flat.compress(~order_left).reshape(d, -1), depth - 1,
+    )
     return node
 
 
-def _tree_value(node: TreeNode, row) -> float:
-    while node.feature is not None:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
+def _route(node: TreeNode, X, rows, out) -> None:
+    if node.feature is None:
+        out[rows] = node.value
+        return
+    left = X[rows, node.feature] <= node.threshold
+    _route(node.left, X, rows[left], out)
+    _route(node.right, X, rows[~left], out)
+
+
+def _tree_values(tree: TreeNode, X) -> np.ndarray:
+    """Leaf value of every row of X: the row block is split at each node by
+    X[:, feature] <= threshold."""
+    out = np.empty(len(X))
+    _route(tree, X, np.arange(len(X)), out)
+    return out
 
 
 @dataclass
@@ -169,38 +217,39 @@ class GbmModel:
     trees: list[TreeNode] = field(default_factory=list)
     learning_rate: float = 0.1
     initial_score: float = 0.0
+    n_features: int | None = None  # None skips predict_gbm's width check
 
 
-def fit_gbm(
-    X,
-    y,
-    n_trees: int = 100,
-    depth: int = 3,
-    learning_rate: float = 0.1,
-    seed: int = 0,
-) -> GbmModel:
-    """Stage-wise boosting; deterministic (the seed is accepted for interface
-    stability but the exact greedy split search uses no randomness)."""
-    del seed
-    X = np.asarray(X, dtype=float)
+def fit_gbm(X, y, n_trees: int = 100, depth: int = 3, learning_rate: float = 0.1) -> GbmModel:
+    """Stage-wise boosting on finite X and 0/1 labels y; deterministic, since
+    the exact greedy split search uses no randomness."""
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    if X.ndim != 2 or len(X) != len(y):
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise ValueError("X must be 2-d with one label per row")
-    ybar = y.mean()
-    if ybar in (0.0, 1.0):
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("X and y must be finite")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("labels must be 0 or 1")
+    if not 0.0 < y.sum() < len(y):
         raise ValueError("both classes must be present")
 
+    ybar = y.mean()
     f0 = float(np.log(ybar / (1.0 - ybar)))
     scores = np.full(len(y), f0)
+    rows = np.arange(len(y))
+    orders = _column_orders(X)
     trees: list[TreeNode] = []
     for _ in range(n_trees):
         residuals = y - _sigmoid(scores)
-        tree = _fit_tree(X, residuals, depth)
+        tree = _fit_tree(X, residuals, rows, orders, depth)
         trees.append(tree)
-        scores = scores + learning_rate * np.array([_tree_value(tree, row) for row in X])
-    return GbmModel(trees, learning_rate, f0)
+        scores = scores + learning_rate * _tree_values(tree, X)
+    return GbmModel(trees, learning_rate, f0, X.shape[1])
 
 
 def predict_gbm(model: GbmModel, x):
@@ -208,19 +257,18 @@ def predict_gbm(model: GbmModel, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     rows = x[None, :] if single else x
+    if model.n_features is not None and rows.shape[1] != model.n_features:
+        raise ValueError(f"expected {model.n_features} features, got {rows.shape[1]}")
     scores = np.full(len(rows), model.initial_score)
     for tree in model.trees:
-        scores = scores + model.learning_rate * np.array(
-            [_tree_value(tree, row) for row in rows]
-        )
+        scores = scores + model.learning_rate * _tree_values(tree, rows)
     p = _sigmoid(scores)
     return float(p[0]) if single else p
 
 
 def gbm_training_deviance(model: GbmModel, X, y, n_trees: int | None = None) -> float:
     """Binomial deviance of the first n_trees stages (all stages by default)."""
-    sub = GbmModel(model.trees[: len(model.trees) if n_trees is None else n_trees],
-                   model.learning_rate, model.initial_score)
+    sub = replace(model, trees=model.trees[: len(model.trees) if n_trees is None else n_trees])
     p = np.clip(predict_gbm(sub, np.asarray(X, dtype=float)), 1e-12, 1 - 1e-12)
     y = np.asarray(y, dtype=float)
     return float(-2.0 * np.sum(y * np.log(p) + (1 - y) * np.log1p(-p)))

@@ -234,7 +234,7 @@ def _fit_scores(config: RunConfig, cohort: data.Cohort, fit_idx: np.ndarray):
             model = classical.fit_logistic(X_fit, z_fit)
             raw = classical.predict_logistic(model, X_all)
         else:
-            model = classical.fit_gbm(X_fit, z_fit, seed=model_seed)
+            model = classical.fit_gbm(X_fit, z_fit)
             raw = classical.predict_gbm(model, X_all)
         return np.clip(raw, CLASSICAL_CLIP, 1.0 - CLASSICAL_CLIP)
 
@@ -375,7 +375,9 @@ def cmd_adjust(config: RunConfig) -> int:
     balance_covs = list(SURVIVAL_COVARIATES)
     record = _adjustment_record(adjustment, cohort.z)
 
-    # one adjustment file per directory: survival reads whichever exists
+    # one adjustment file per directory: survival reads whichever exists and
+    # takes its label from balance.json, so a stale label must not outlive it
+    (out_dir / "balance.json").unlink(missing_ok=True)
     if isinstance(adjustment, adj.WeightVector):
         (out_dir / "pairs.csv").unlink(missing_ok=True)
         _write_csv(
@@ -465,6 +467,13 @@ def cmd_survival(config: RunConfig) -> int:
     else:
         raise FileNotFoundError("no weights.csv or pairs.csv; run `qcausal adjust` first")
 
+    # label the analysis with the adjustment that wrote the file, not the flag
+    adjustment = config.adjust
+    balance_path = out_dir / "balance.json"
+    if balance_path.exists():
+        balance = json.loads(balance_path.read_text(encoding="utf-8"))
+        adjustment = balance.get("adjustment", adjustment)
+
     header = ["time", "survival", "at_risk", "events"]
     for label, group in (("control", 0.0), ("treated", 1.0)):
         mask = cohort.z == group
@@ -484,7 +493,7 @@ def cmd_survival(config: RunConfig) -> int:
         {
             "unadjusted": {"statistic": stat_u, "p": p_u},
             "adjusted": {"statistic": stat_a, "p": p_a},
-            "adjustment": config.adjust,
+            "adjustment": adjustment,
         },
     )
 

@@ -3,7 +3,9 @@
 The circuit oracles build full 2**n x 2**n matrices with numpy.kron and
 compose them explicitly, so agreement with the package is a genuine
 cross-check.  The matching oracles are the earlier one-genome-at-a-time
-greedy matchers on full treated x control distance matrices.
+greedy matchers on full treated x control distance matrices.  The boosted-tree
+oracles are the earlier per-node argsort, scalar split scan and row-by-row tree
+walk.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from qcausal.adjust import MatchSet
+from qcausal.classical import GbmModel, TreeNode, _sigmoid
 
 SQ2 = 1.0 / np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * SQ2
@@ -275,3 +278,103 @@ def genetic_match(
 
     best = genomes[int(np.argmin(fitness))]
     return _metric_match(features, ps, z, best, caliper)
+
+
+# ---------------------------------------------------------------------------
+# boosted-tree reference: the per-node argsort, scalar split scan and
+# row-by-row tree walk that the presorted, vectorised trees replaced, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _best_split(X, residuals):
+    """Exact greedy SSE split; ties broken by lowest feature then threshold."""
+    n, d = X.shape
+    total = residuals.sum()
+    best = None  # (sse, feature, threshold)
+    base_sse = float(np.sum((residuals - residuals.mean()) ** 2))
+    for j in range(d):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        rs = residuals[order]
+        csum = np.cumsum(rs)
+        for i in range(n - 1):
+            if xs[i] == xs[i + 1]:
+                continue
+            left_n = i + 1
+            left_sum = csum[i]
+            right_sum = total - left_sum
+            # SSE = const - sum_children (group sum)^2 / group size
+            gain = left_sum**2 / left_n + right_sum**2 / (n - left_n)
+            sse = base_sse - (gain - total**2 / n)
+            threshold = (xs[i] + xs[i + 1]) / 2.0
+            if best is None or sse < best[0] - 1e-15:
+                best = (sse, j, threshold)
+    return best
+
+
+def _fit_tree(X, residuals, depth) -> TreeNode:
+    node = TreeNode(value=float(residuals.mean()))
+    if depth == 0 or len(X) < 2 or np.allclose(residuals, residuals[0]):
+        return node
+    found = _best_split(X, residuals)
+    if found is None:
+        return node
+    _, j, threshold = found
+    mask = X[:, j] <= threshold
+    node.feature = j
+    node.threshold = threshold
+    node.left = _fit_tree(X[mask], residuals[mask], depth - 1)
+    node.right = _fit_tree(X[~mask], residuals[~mask], depth - 1)
+    return node
+
+
+def _tree_value(node: TreeNode, row) -> float:
+    while node.feature is not None:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.value
+
+
+def fit_gbm(
+    X,
+    y,
+    n_trees: int = 100,
+    depth: int = 3,
+    learning_rate: float = 0.1,
+    seed: int = 0,
+) -> GbmModel:
+    """Stage-wise boosting; deterministic (the seed is accepted for interface
+    stability but the exact greedy split search uses no randomness)."""
+    del seed
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be 2-d with one label per row")
+    ybar = y.mean()
+    if ybar in (0.0, 1.0):
+        raise ValueError("both classes must be present")
+
+    f0 = float(np.log(ybar / (1.0 - ybar)))
+    scores = np.full(len(y), f0)
+    trees: list[TreeNode] = []
+    for _ in range(n_trees):
+        residuals = y - _sigmoid(scores)
+        tree = _fit_tree(X, residuals, depth)
+        trees.append(tree)
+        scores = scores + learning_rate * np.array([_tree_value(tree, row) for row in X])
+    return GbmModel(trees, learning_rate, f0)
+
+
+def predict_gbm(model: GbmModel, x):
+    """sigmoid(F0 + learning_rate * sum of tree outputs); row or matrix input."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    rows = x[None, :] if single else x
+    scores = np.full(len(rows), model.initial_score)
+    for tree in model.trees:
+        scores = scores + model.learning_rate * np.array(
+            [_tree_value(tree, row) for row in rows]
+        )
+    p = _sigmoid(scores)
+    return float(p[0]) if single else p

@@ -354,6 +354,12 @@ class TestAdjustmentFiles:
         assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK
         assert not (out / "pairs.csv").exists()
 
+    def test_survival_labels_the_adjustment_it_analysed(self, tmp_path):
+        out = prepared_dir(tmp_path)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        assert run("survival", "--out-dir", str(out)) == EXIT_OK
+        assert json.loads((out / "logrank.json").read_text())["adjustment"] == "nn"
+
     def test_survival_refuses_both_adjustment_files(self, tmp_path, capsys):
         out = prepared_dir(tmp_path)
         assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK

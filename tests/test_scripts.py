@@ -1,0 +1,39 @@
+"""Smoke tests: each script under scripts/ runs to completion on a small input."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_compare_propensity_models():
+    result = run_script("compare_propensity_models.py", "--n", "80", "--max-evals", "5", "--sizes")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[1:]]
+    assert ["80", "gbm"] in [row[:2] for row in rows]
+
+
+def test_run_pipeline(tmp_path):
+    config = tmp_path / "fast.cfg"
+    config.write_text("max_evaluations=20\n", encoding="utf-8")
+    out = tmp_path / "run"
+    result = run_script(
+        "run_pipeline.py", "--out-dir", str(out), "--seed", "1", "--n", "120",
+        "--model", "qnn_exact", "--adjust", "nn", "--config", str(config),
+    )
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "pipeline"
+    assert json.loads((out / "logrank.json").read_text())["adjustment"] == "nn"
