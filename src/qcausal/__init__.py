@@ -15,7 +15,8 @@ Subpackages map onto the pipeline stages:
 
 __version__ = "0.1.0"
 
-from . import adjust, classical, cli, cmaes, data, metrics, qnn, quantum, survival
+# Submodules load on first use (`import qcausal.cli`, `from qcausal import *`),
+# so a stage process imports only what its stage needs.
 
 __all__ = [
     "adjust",

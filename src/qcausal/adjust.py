@@ -22,6 +22,11 @@ control index, and a subject whose candidates are all taken stays unmatched.
 Distances must be finite: genetic matching raises ValueError on non-finite
 covariates.
 
+Balance-test p-values come from scipy.special, stdtr(df, -|t|) for Welch's t
+and chdtrc(k - 1, x) for Pearson's chi-square, which equal scipy.stats' t.sf
+and chi2.sf bit for bit without importing scipy.stats.  scipy.optimize is
+imported only inside optimal_match, so other stages never load it.
+
 Weighting schemes, with e = score and Z the arm indicator:
 
     ATE       w = Z/e + (1-Z)/(1-e)
@@ -37,9 +42,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import t as t_dist
+from scipy.special import chdtrc, stdtr
 
 from .data import Cohort
 
@@ -250,6 +253,8 @@ def optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
     so infeasible subjects are left unmatched rather than forced out of
     caliper.
     """
+    from scipy.optimize import linear_sum_assignment  # here, so no other stage loads it
+
     ps = np.asarray(ps, dtype=float)
     treated, control = _split_groups(z)
     caliper = score_caliper(ps, caliper_multiplier)
@@ -426,7 +431,7 @@ def two_sample_t_test(values, z, weights=None) -> float:
     df_num = se2**2
     df_den = (vt / nt) ** 2 / (nt - 1.0) + (vc / nc) ** 2 / (nc - 1.0)
     df = df_num / df_den if df_den > 0 else nt + nc - 2.0
-    return float(2.0 * t_dist.sf(abs(t_stat), df))
+    return float(2.0 * stdtr(df, -abs(t_stat)))
 
 
 def _contingency_table(categories, z, weights):
@@ -453,7 +458,7 @@ def chi_square_test(categories, z, weights=None) -> float:
     if np.any(expected <= 0):
         raise ValueError("expected counts must be positive")
     stat = float(np.sum((table - expected) ** 2 / expected))
-    return float(chi2_dist.sf(stat, len(table) - 1))
+    return float(chdtrc(len(table) - 1, stat))
 
 
 def chi_square_statistic(categories, z, weights=None) -> float:

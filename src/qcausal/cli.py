@@ -455,6 +455,12 @@ def cmd_survival(config: RunConfig) -> int:
         )
     if weights_path.exists():
         weights = read_weights(weights_path)
+        if len(weights) != cohort.n:
+            raise ValueError(
+                f"weights.csv holds {len(weights)} weights but cohort.csv has "
+                f"{cohort.n} subjects; re-run `qcausal adjust`"
+            )
+        surv._check_samples(cohort.times, cohort.events, weights)
         analysis = cohort
         analysis_weights = weights
     elif pairs_path.exists():
@@ -522,6 +528,9 @@ def cmd_survival(config: RunConfig) -> int:
             "score_df": cox.score_df,
             "score_p": cox.score_p,
             "converged": cox.converged,
+            "n_iter": cox.n_iter,
+            "separation": cox.separation,
+            "loglik": cox.loglik,
             "n": int(analysis.n),
         },
     )

@@ -346,19 +346,6 @@ def _circuit_states(circuit: EncodingCircuit) -> ProductStates:
     )
 
 
-def _gate_states(gates: Iterable[GateOp], n_qubits: int) -> ProductStates:
-    gates = list(gates)
-    for op in gates:
-        if not 0 <= op.qubit < n_qubits:
-            raise ValueError(f"gate qubit {op.qubit} out of range for {n_qubits} qubits")
-    return _fold(((op.name, op.qubit, op.angle) for op in gates), n_qubits, 1)
-
-
-def run_gates(gates: Iterable[GateOp], n_qubits: int) -> np.ndarray:
-    """Run a gate sequence on |0...0> and return raw amplitudes."""
-    return _gate_states(gates, n_qubits).dense()
-
-
 def apply_circuit(circuit: EncodingCircuit) -> Statevector:
     """Statevector produced by the circuit from the all-zeros state."""
     return Statevector(circuit.n_qubits, _circuit_states(circuit).dense())
@@ -372,15 +359,6 @@ def sample_expectation(
     Deterministic for a fixed (circuit, obs, shots, seed).
     """
     return sample_noisy_expectation(circuit, obs, NoiseModel(), shots, seed)
-
-
-def sample_noisy_expectation_from_gates(
-    gates: list[GateOp], n_qubits: int, obs: PauliSumObservable,
-    noise: NoiseModel, shots: int, seed,
-) -> float:
-    """Noisy estimate for an explicit gate sequence (exposed for oracles)."""
-    rng = np.random.default_rng(seed)
-    return float(_gate_states(gates, n_qubits).sample(obs, shots, rng, noise)[0])
 
 
 def sample_noisy_expectation(

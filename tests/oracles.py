@@ -2,7 +2,9 @@
 
 The circuit oracles build full 2**n x 2**n matrices with numpy.kron and
 compose them explicitly, so agreement with the package is a genuine
-cross-check.  The matching oracles are the earlier one-genome-at-a-time
+cross-check.  The gate-sequence harness runs an explicit gate list through
+the package's product-state core, so the dense oracles can be compared on any
+gate order.  The matching oracles are the earlier one-genome-at-a-time
 greedy matchers on full treated x control distance matrices.  The boosted-tree
 oracles are the earlier per-node argsort, scalar split scan and row-by-row tree
 walk.
@@ -122,6 +124,33 @@ def random_circuit(rng, max_qubits=4):
     if rng.random() < 0.5:
         variational = rng.uniform(-np.pi, np.pi, size=2 * n * layers)
     return build_feature_map(x, layers=layers, variational=variational)
+
+
+# ---------------------------------------------------------------------------
+# gate-sequence harness: an explicit GateOp list, in any order, run through
+# the package's product-state core, for comparison with the dense oracles
+# ---------------------------------------------------------------------------
+
+
+def _gate_states(gates, n_qubits):
+    from qcausal.quantum import _fold
+
+    gates = list(gates)
+    for op in gates:
+        if not 0 <= op.qubit < n_qubits:
+            raise ValueError(f"gate qubit {op.qubit} out of range for {n_qubits} qubits")
+    return _fold(((op.name, op.qubit, op.angle) for op in gates), n_qubits, 1)
+
+
+def run_gates(gates, n_qubits):
+    """Run a gate sequence on |0...0> and return raw amplitudes."""
+    return _gate_states(gates, n_qubits).dense()
+
+
+def sample_noisy_expectation_from_gates(gates, n_qubits, obs, noise, shots, seed):
+    """Noisy shot estimate of <H> for an explicit gate sequence."""
+    rng = np.random.default_rng(seed)
+    return float(_gate_states(gates, n_qubits).sample(obs, shots, rng, noise)[0])
 
 
 # ---------------------------------------------------------------------------

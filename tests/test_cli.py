@@ -306,6 +306,48 @@ class TestSurvival:
             assert unadj == adj
 
 
+class TestWeightsFile:
+    def weighted_dir(self, tmp_path):
+        out = prepared_dir(tmp_path, n=120, seed=2)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "mw") == EXIT_OK
+        return out, (out / "weights.csv").read_text(encoding="utf-8").splitlines()
+
+    def test_short_weights_file_names_both_counts(self, tmp_path, capsys):
+        out, lines = self.weighted_dir(tmp_path)
+        (out / "weights.csv").write_text("\n".join(lines[:116]) + "\n", encoding="utf-8")
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "115 weights" in err and "120 subjects" in err
+        assert not (out / "km_unadjusted_control.csv").exists()
+
+    def test_nan_weight_rejected_before_any_output(self, tmp_path, capsys):
+        out, lines = self.weighted_dir(tmp_path)
+        subject, _ = lines[7].split(",")
+        lines[7] = f"{subject},nan"
+        (out / "weights.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not (out / "km_unadjusted_control.csv").exists()
+
+
+class TestCoxRecord:
+    def test_cox_json_keeps_fit_diagnostics(self, tmp_path):
+        from qcausal.survival import fit_cox
+
+        out = prepared_dir(tmp_path, n=200, seed=3)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK
+        assert run("survival", "--out-dir", str(out)) == EXIT_OK
+        record = json.loads((out / "cox.json").read_text())
+        cohort, _ = load_cohort(out / "cohort.csv")
+        covariates = ("Age", "Sex", "BMI", "ASA", "Stage")
+        X = np.column_stack([cohort.matrix(covariates), cohort.z])
+        model = fit_cox(cohort.times, cohort.events, X, weights=read_weights(out / "weights.csv"))
+        assert record["n_iter"] == model.n_iter >= 1
+        assert record["separation"] is model.separation is False
+        assert record["loglik"] == model.loglik
+        assert record["converged"] is model.converged
+
+
 class TestPipeline:
     def test_end_to_end_and_idempotent(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

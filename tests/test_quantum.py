@@ -15,10 +15,8 @@ from qcausal.quantum import (
     apply_circuit,
     build_feature_map,
     expectation,
-    run_gates,
     sample_expectation,
     sample_noisy_expectation,
-    sample_noisy_expectation_from_gates,
     variance,
 )
 
@@ -83,7 +81,7 @@ class TestFeatureMap:
         assert np.allclose(state.amplitudes, [1, 0, 0, 0])
 
     def test_empty_gate_list_is_identity(self):
-        amps = run_gates([], 3)
+        amps = oracles.run_gates([], 3)
         assert amps[0] == 1.0 and np.count_nonzero(amps) == 1
 
 
@@ -232,7 +230,7 @@ class TestNoisySampling:
         for p in (0.0, 0.05, 0.2):
             noise = NoiseModel(depolarizing_prob=p)
             estimates.append(
-                sample_noisy_expectation_from_gates(gates, 1, obs, noise, 1_000_000, seed=21)
+                oracles.sample_noisy_expectation_from_gates(gates, 1, obs, noise, 1_000_000, seed=21)
             )
         assert estimates[0] == pytest.approx(math.cos(0.8), abs=2e-3)
         mags = [abs(e) for e in estimates]
@@ -262,7 +260,7 @@ class TestNoisySampling:
             if case % 2:
                 # any gate order, interleaving qubits, goes through the same core
                 gates = [gates[i] for i in rng.permutation(len(gates))]
-                est = sample_noisy_expectation_from_gates(gates, n, obs, noise, shots, seed=case)
+                est = oracles.sample_noisy_expectation_from_gates(gates, n, obs, noise, shots, seed=case)
             else:
                 est = sample_noisy_expectation(circuit, obs, noise, shots, seed=case)
             means = oracles.dense_noisy_term_means(gates, obs, n, noise)

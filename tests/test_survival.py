@@ -70,6 +70,40 @@ class TestKaplanMeier:
             kaplan_meier([], [])
 
 
+ESTIMATORS = {
+    "kaplan_meier": kaplan_meier,
+    "nelson_aalen": nelson_aalen,
+    "log_rank": lambda t, e, w: log_rank(t, e, np.arange(len(t)) % 2, w),
+    "fit_cox": lambda t, e, w: fit_cox(t, e, np.arange(len(t))[:, None] % 3, weights=w),
+    "cox_partial_loglik": lambda t, e, w: cox_partial_loglik(
+        [0.1], t, e, np.arange(len(t))[:, None] % 3, w
+    ),
+    "concordance": lambda t, e, w: concordance(np.arange(len(t)) % 3, t, e, w),
+    "fit_aalen": lambda t, e, w: fit_aalen(t, e, np.arange(len(t))[:, None] % 3, weights=w),
+}
+
+
+class TestNonFiniteInput:
+    times = np.array([2.0, 5.0, 1.0, 7.0, 3.0, 4.0, 6.0, 8.0])
+    events = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_non_finite_time_rejected(self, name, bad):
+        times = self.times.copy()
+        times[3] = bad
+        with pytest.raises(ValueError, match="times must be finite"):
+            ESTIMATORS[name](times, self.events, None)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_non_finite_weight_rejected(self, name, bad):
+        weights = np.ones(8)
+        weights[4] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ESTIMATORS[name](self.times, self.events, weights)
+
+
 class TestLogRank:
     def test_duplicated_groups_give_zero_statistic(self):
         times = np.array([1.0, 3.0, 5.0, 1.0, 3.0, 5.0])
