@@ -139,31 +139,57 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _read_rows(path, columns):
+    """Yield (line number, row) for each data row of a CSV; a missing column
+    or a row too short to hold every column is a ValueError naming the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for name in columns:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no {name!r} column")
+        for line, row in enumerate(reader, start=2):
+            if any(row[name] is None for name in columns):
+                raise ValueError(f"{path}: row {line}: too few fields")
+            yield line, row
+
+
 def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse scores.csv back into (z, propensity) arrays; a propensity that
     is not a finite number is a ValueError naming its row."""
     z, ps = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for line, row in enumerate(reader, start=2):
-            z.append(float(row["z"]))
-            ps.append(float(row["propensity"]))
-            if not math.isfinite(ps[-1]):
-                token = row["propensity"]
-                raise ValueError(f"{path}: row {line}: propensity is not finite: {token!r}")
+    for line, row in _read_rows(path, ("z", "propensity")):
+        z.append(float(row["z"]))
+        ps.append(float(row["propensity"]))
+        if not math.isfinite(ps[-1]):
+            token = row["propensity"]
+            raise ValueError(f"{path}: row {line}: propensity is not finite: {token!r}")
     return np.asarray(z), np.asarray(ps)
 
 
 def read_pairs(path) -> list[tuple[int, int]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        return [(int(row["treated"]), int(row["control"])) for row in reader]
+    rows = _read_rows(path, ("treated", "control"))
+    return [(int(row["treated"]), int(row["control"])) for _, row in rows]
 
 
 def read_weights(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        return np.asarray([float(row["weight"]) for row in reader])
+    return np.asarray([float(row["weight"]) for _, row in _read_rows(path, ("weight",))])
+
+
+def _check_pairs(pairs, z, path) -> None:
+    """Each pair must join a treated subject (z=1) to a control (z=0) of the
+    cohort, and no subject may appear twice; else a ValueError naming the row."""
+    seen = set()
+    for line, pair in enumerate(pairs, start=2):
+        for index, arm, value in zip(pair, ("treated", "control"), (1.0, 0.0)):
+            if not 0 <= index < len(z):
+                raise ValueError(
+                    f"{path}: row {line}: {arm} index {index} is outside the cohort [0, {len(z)})"
+                )
+            if z[index] != value:
+                raise ValueError(f"{path}: row {line}: {arm} subject {index} has z={int(z[index])}")
+            if index in seen:
+                raise ValueError(f"{path}: row {line}: subject {index} appears in an earlier pair")
+            seen.add(index)
 
 
 def _load_cohort(out_dir: Path) -> data.Cohort:
@@ -467,6 +493,7 @@ def cmd_survival(config: RunConfig) -> int:
         pairs = read_pairs(pairs_path)
         if not pairs:
             raise ValueError("pairs.csv holds an empty match set; nothing to analyze")
+        _check_pairs(pairs, cohort.z, pairs_path)
         idx = np.concatenate([[t for t, _ in pairs], [c for _, c in pairs]]).astype(int)
         analysis = cohort.subset(idx)
         analysis_weights = None
@@ -529,6 +556,7 @@ def cmd_survival(config: RunConfig) -> int:
             "score_p": cox.score_p,
             "converged": cox.converged,
             "n_iter": cox.n_iter,
+            "halvings": cox.halvings,
             "separation": cox.separation,
             "loglik": cox.loglik,
             "n": int(analysis.n),

@@ -5,6 +5,13 @@ event flag d_i in {0,1}, and a positive weight w_i (default 1).  Subjects are
 at risk at time t while y_i >= t.  Every estimator rejects a time or weight
 that is not finite with ValueError.
 
+Kaplan-Meier, Nelson-Aalen, log-rank and the additive model read their counts
+off one risk table: the subjects sorted once by time and cut into groups of
+equal time.  Per-group sums of any per-subject quantity (weights, w*x*x') give
+the weighted deaths at each event time directly and the at-risk sums as a
+reverse cumulative sum over the groups, so an estimator costs one sort plus
+O(n) array work instead of one scan of the cohort per event time.
+
 Kaplan-Meier multiplies (1 - d^w_t / n^w_t) over event times with weighted
 event and at-risk counts.  The two-group log-rank statistic accumulates
 observed-minus-expected group-1 events with the hypergeometric variance; the
@@ -15,9 +22,16 @@ weighted variant substitutes weighted counts into the same expressions, i.e.
                     * (n^w_t - d^w_t) / (n^w_t - 1) ].
 
 Proportional hazards fits maximize the weighted partial likelihood by
-Newton-Raphson with the Efron tie correction (Breslow optional), and the
-additive hazard model solves weighted least squares per event time,
-accumulating increments of the cumulative regression functions.
+Newton-Raphson with the Efron tie correction (Breslow optional), halving a
+step that lowers the likelihood.  The additive hazard model solves weighted
+least squares per event time, accumulating increments of the cumulative
+regression functions; the at-risk X'WX of every event time comes from the risk
+table, and the condition checks and solves run once over the stacked systems.
+
+Harrell's C sweeps the subjects in descending time and keeps the weight of
+those already passed (the later times) in a Fenwick tree over score ranks, so
+each event reads the later weight with a lower score in O(log n) and the index
+costs O(n log n) rather than one pass over the cohort per event.
 
 Tail probabilities come from scipy.special, chdtrc(k, x) for the chi-square
 and ndtr(-|z|) for the normal; they equal scipy.stats' chi2.sf and norm.sf bit
@@ -75,30 +89,56 @@ class SurvivalCurve:
             raise ValueError("survival values must be nonincreasing")
 
 
+class _RiskTable:
+    """Subjects sorted once by ascending time and grouped by distinct time.
+
+    `order` is the sorting permutation and `starts` the first sorted position
+    of each time group.  Per event time t (ascending, in `times`), `at_risk`
+    holds the weighted number of subjects with y >= t and `deaths` the
+    weighted events at t; `at_risk_sums` and `death_sums` give the same sums
+    for any per-subject values, so every estimator reads its counts off one
+    sort.
+    """
+
+    def __init__(self, times, events, weights):
+        self.order = np.argsort(times, kind="stable")
+        distinct, self.starts = np.unique(times[self.order], return_index=True)
+        self._events = events
+        self._event_groups = np.flatnonzero(self._group_sums(events) > 0)
+        self.times = distinct[self._event_groups]
+        self.at_risk = self.at_risk_sums(weights)
+        self.deaths = self.death_sums(weights)
+
+    def _group_sums(self, values):
+        return np.add.reduceat(values[self.order], self.starts, axis=0)
+
+    def at_risk_sums(self, values):
+        """Per event time t, the sum of `values` over the subjects with y >= t:
+        per-group sums accumulated from the last time back."""
+        sums = np.cumsum(self._group_sums(values)[::-1], axis=0)[::-1]
+        return sums[self._event_groups]
+
+    def death_sums(self, values):
+        """Per event time t, the sum of `values` over the subjects dying at t."""
+        dead = self._events.reshape((-1,) + (1,) * (np.ndim(values) - 1))
+        return self._group_sums(values * dead)[self._event_groups]
+
+
 def kaplan_meier(times, events, weights=None) -> SurvivalCurve:
     """Weighted product-limit estimator over the distinct event times."""
     times, events, weights = _check_samples(times, events, weights)
     if len(times) == 0:
         raise ValueError("need at least one sample")
-    event_times = np.unique(times[events == 1.0])
-    survival = []
-    at_risk = []
-    d_counts = []
-    s = 1.0
-    for t in event_times:
-        n_w = float(weights[times >= t].sum())
-        d_w = float(weights[(times == t) & (events == 1.0)].sum())
-        s *= 1.0 - d_w / n_w
-        survival.append(s)
-        at_risk.append(n_w)
-        d_counts.append(d_w)
-    return SurvivalCurve(
-        event_times, np.asarray(survival), np.asarray(at_risk), np.asarray(d_counts)
-    )
+    table = _RiskTable(times, events, weights)
+    survival = np.cumprod(1.0 - table.deaths / table.at_risk)
+    return SurvivalCurve(table.times, survival, table.at_risk, table.deaths)
 
 
 def log_rank(times, events, groups, weights=None) -> tuple[float, float]:
-    """Two-group (weighted) log-rank test; returns (statistic, p-value)."""
+    """Two-group (weighted) log-rank test; returns (statistic, p-value).
+
+    Event times with at most one (weighted) subject at risk are skipped.
+    """
     times, events, weights = _check_samples(times, events, weights)
     groups = np.asarray(groups, dtype=float)
     if not set(np.unique(groups)) <= {0.0, 1.0} or len(np.unique(groups)) < 2:
@@ -106,20 +146,14 @@ def log_rank(times, events, groups, weights=None) -> tuple[float, float]:
     if events.sum() == 0:
         raise ValueError("need at least one event")
 
-    o_minus_e = 0.0
-    var = 0.0
-    for t in np.unique(times[events == 1.0]):
-        at_risk = times >= t
-        n_w = float(weights[at_risk].sum())
-        n1_w = float(weights[at_risk & (groups == 1.0)].sum())
-        dying = (times == t) & (events == 1.0)
-        d_w = float(weights[dying].sum())
-        d1_w = float(weights[dying & (groups == 1.0)].sum())
-        if n_w <= 1.0:
-            continue
-        share = n1_w / n_w
-        o_minus_e += d1_w - d_w * share
-        var += d_w * share * (1.0 - share) * (n_w - d_w) / (n_w - 1.0)
+    table = _RiskTable(times, events, weights)
+    usable = table.at_risk > 1.0
+    n_w = table.at_risk[usable]
+    d_w = table.deaths[usable]
+    share = table.at_risk_sums(weights * groups)[usable] / n_w
+    d1_w = table.death_sums(weights * groups)[usable]
+    o_minus_e = float(np.sum(d1_w - d_w * share))
+    var = float(np.sum(d_w * share * (1.0 - share) * (n_w - d_w) / (n_w - 1.0)))
     if var <= 0:
         return 0.0, 1.0
     stat = o_minus_e**2 / var
@@ -149,6 +183,7 @@ class CoxModel:
     converged: bool
     separation: bool
     n_iter: int
+    halvings: int  # step halvings over all Newton iterations
 
 
 def _cox_pass(beta, times, events, X, weights, efron):
@@ -244,6 +279,7 @@ def fit_cox(
     converged = False
     separation = False
     n_iter = 0
+    halvings = 0
     for n_iter in range(1, max_iter + 1):
         if np.max(np.abs(score)) < tol:
             converged = True
@@ -256,16 +292,17 @@ def fit_cox(
         new_loglik, new_score, new_info = _cox_pass(
             new_beta, times, events, X, weights, efron
         )
-        halvings = 0
+        halved = 0
         # tolerance scales with |loglik| so summation-order jitter never triggers
         drop_tol = 1e-10 * (1.0 + abs(loglik))
-        while new_loglik < loglik - drop_tol and halvings < 20:
+        while new_loglik < loglik - drop_tol and halved < 20:
             step /= 2.0
             new_beta = beta + step
             new_loglik, new_score, new_info = _cox_pass(
                 new_beta, times, events, X, weights, efron
             )
-            halvings += 1
+            halved += 1
+        halvings += halved
         beta, loglik, score, info = new_beta, new_loglik, new_score, new_info
         if np.max(np.abs(beta)) > COX_SEPARATION_BOUND:
             separation = True
@@ -304,6 +341,7 @@ def fit_cox(
         converged=converged,
         separation=separation,
         n_iter=n_iter,
+        halvings=halvings,
     )
 
 
@@ -321,22 +359,46 @@ def concordance(scores, times, events, weights=None) -> float:
 
     A pair is usable when the earlier time belongs to an observed event and
     the times differ; score ties count one half.  Weighted pairs contribute
-    w_i * w_j.
+    w_i * w_j.  Computed in one descending-time sweep over a Fenwick tree of
+    score ranks, O(n log n).
     """
     times, events, weights = _check_samples(times, events, weights)
     scores = np.asarray(scores, dtype=float)
+    if len(scores) != len(times):
+        raise ValueError("scores and times must have equal lengths")
+    if np.any(np.isnan(scores)):
+        raise ValueError("scores must not be NaN")
+    table = _RiskTable(times, events, weights)
+    ranks = np.unique(scores, return_inverse=True)[1].reshape(-1) + 1  # 1-based
+    rank = ranks[table.order].tolist()
+    weight = weights[table.order].tolist()
+    dead = (events[table.order] == 1.0).tolist()
+    bounds = table.starts.tolist() + [len(times)]
 
+    size = len(rank)
+    below = [0.0] * (size + 1)  # Fenwick tree of later weight by score rank
+    tied = [0.0] * (size + 1)  # later weight at each score rank
+    later = 0.0
     usable = 0.0
     concordant = 0.0
-    for i in np.flatnonzero(events == 1.0):
-        later = times > times[i]
-        if not np.any(later):
-            continue
-        pair_w = weights[i] * weights[later]
-        usable += pair_w.sum()
-        higher = scores[i] > scores[later]
-        tied = scores[i] == scores[later]
-        concordant += pair_w @ (higher + 0.5 * tied)
+    for g in range(len(bounds) - 2, -1, -1):
+        group = range(bounds[g], bounds[g + 1])
+        if later > 0.0:
+            for k in group:
+                if dead[k]:
+                    lower, i = 0.0, rank[k] - 1
+                    while i:
+                        lower += below[i]
+                        i &= i - 1
+                    usable += weight[k] * later
+                    concordant += weight[k] * (lower + 0.5 * tied[rank[k]])
+        for k in group:
+            i = rank[k]
+            tied[i] += weight[k]
+            while i <= size:
+                below[i] += weight[k]
+                i += i & -i
+            later += weight[k]
     if usable == 0:
         raise ValueError("no usable pairs")
     return float(concordant / usable)
@@ -393,31 +455,28 @@ def fit_aalen(times, events, X, names=None, weights=None, horizon=None) -> Aalen
         names = tuple(f"x{j}" for j in range(X.shape[1]))
     all_names = ("Intercept",) + tuple(names)
 
-    event_times = np.unique(times[events == 1.0])
-    if horizon is not None:
-        event_times = event_times[event_times <= horizon]
+    table = _RiskTable(times, events, weights)
+    keep = slice(None) if horizon is None else table.times <= horizon
+    event_times = table.times[keep]
 
-    used_times = []
-    increments = []
-    variance = np.zeros((p, p))
-    for t in event_times:
-        at_risk = times >= t
-        Xr = design[at_risk]
-        wr = weights[at_risk]
-        dn = ((times[at_risk] == t) & (events[at_risk] == 1.0)).astype(float)
-        xtwx = Xr.T @ (Xr * wr[:, None])
-        if np.linalg.cond(xtwx) > RANK_CONDITION_LIMIT:
-            continue
-        solver = np.linalg.solve(xtwx, (Xr * wr[:, None]).T)  # (X'WX)^-1 X'W
-        increments.append(solver @ dn)
-        variance += (solver * dn) @ solver.T
-        used_times.append(t)
+    # per event time: X'WX over the at-risk set, X'W dN and sum of w^2 x x'
+    # over the deaths, one (p, p) slice per time
+    def outer_sums(sums, w):
+        return np.stack([sums(design * (w * design[:, a])[:, None]) for a in range(p)], axis=1)
 
-    if not used_times:
+    xtwx = outer_sums(table.at_risk_sums, weights)[keep]
+    death_outer = outer_sums(table.death_sums, weights**2)[keep]
+    xtwdn = table.death_sums(design * weights[:, None])[keep]
+
+    usable = ~(np.linalg.cond(xtwx) > RANK_CONDITION_LIMIT)
+    if not np.any(usable):
         raise ValueError("design is rank-deficient at every event time")
+    inverse = np.linalg.inv(xtwx[usable])
+    increments = (inverse @ xtwdn[usable][:, :, None])[:, :, 0]
+    variance = (inverse @ death_outer[usable] @ inverse.transpose(0, 2, 1)).sum(axis=0)
+    used_times = event_times[usable]
 
-    used_times = np.asarray(used_times)
-    cumulative = np.cumsum(np.asarray(increments), axis=0)
+    cumulative = np.cumsum(increments, axis=0)
     coef = cumulative[-1]
     se = np.sqrt(np.clip(np.diag(variance), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -460,12 +519,5 @@ def fit_aalen(times, events, X, names=None, weights=None, horizon=None) -> Aalen
 def nelson_aalen(times, events, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted cumulative hazard: sum of d^w_t / n^w_t over event times."""
     times, events, weights = _check_samples(times, events, weights)
-    event_times = np.unique(times[events == 1.0])
-    values = []
-    total = 0.0
-    for t in event_times:
-        n_w = float(weights[times >= t].sum())
-        d_w = float(weights[(times == t) & (events == 1.0)].sum())
-        total += d_w / n_w
-        values.append(total)
-    return event_times, np.asarray(values)
+    table = _RiskTable(times, events, weights)
+    return table.times, np.cumsum(table.deaths / table.at_risk)

@@ -7,15 +7,24 @@ the package's product-state core, so the dense oracles can be compared on any
 gate order.  The matching oracles are the earlier one-genome-at-a-time
 greedy matchers on full treated x control distance matrices.  The boosted-tree
 oracles are the earlier per-node argsort, scalar split scan and row-by-row tree
-walk.
+walk.  The survival oracles are the earlier estimators that rebuilt the at-risk
+set once per event time, and Harrell's C that compared every event with every
+later subject.
 """
 
 import math
 
 import numpy as np
+from scipy.special import chdtrc, ndtr
 
 from qcausal.adjust import MatchSet
 from qcausal.classical import GbmModel, TreeNode, _sigmoid
+from qcausal.survival import (
+    RANK_CONDITION_LIMIT,
+    AalenModel,
+    SurvivalCurve,
+    _check_samples,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * SQ2
@@ -407,3 +416,185 @@ def predict_gbm(model: GbmModel, x):
         )
     p = _sigmoid(scores)
     return float(p[0]) if single else p
+
+
+# ---------------------------------------------------------------------------
+# survival reference: the estimators that rescanned the cohort once per event
+# time, and concordance once per event, before the sorted risk table, verbatim
+# ---------------------------------------------------------------------------
+
+
+def kaplan_meier(times, events, weights=None) -> SurvivalCurve:
+    """Weighted product-limit estimator over the distinct event times."""
+    times, events, weights = _check_samples(times, events, weights)
+    if len(times) == 0:
+        raise ValueError("need at least one sample")
+    event_times = np.unique(times[events == 1.0])
+    survival = []
+    at_risk = []
+    d_counts = []
+    s = 1.0
+    for t in event_times:
+        n_w = float(weights[times >= t].sum())
+        d_w = float(weights[(times == t) & (events == 1.0)].sum())
+        s *= 1.0 - d_w / n_w
+        survival.append(s)
+        at_risk.append(n_w)
+        d_counts.append(d_w)
+    return SurvivalCurve(
+        event_times, np.asarray(survival), np.asarray(at_risk), np.asarray(d_counts)
+    )
+
+
+def log_rank(times, events, groups, weights=None) -> tuple[float, float]:
+    """Two-group (weighted) log-rank test; returns (statistic, p-value)."""
+    times, events, weights = _check_samples(times, events, weights)
+    groups = np.asarray(groups, dtype=float)
+    if not set(np.unique(groups)) <= {0.0, 1.0} or len(np.unique(groups)) < 2:
+        raise ValueError("groups must contain both 0 and 1")
+    if events.sum() == 0:
+        raise ValueError("need at least one event")
+
+    o_minus_e = 0.0
+    var = 0.0
+    for t in np.unique(times[events == 1.0]):
+        at_risk = times >= t
+        n_w = float(weights[at_risk].sum())
+        n1_w = float(weights[at_risk & (groups == 1.0)].sum())
+        dying = (times == t) & (events == 1.0)
+        d_w = float(weights[dying].sum())
+        d1_w = float(weights[dying & (groups == 1.0)].sum())
+        if n_w <= 1.0:
+            continue
+        share = n1_w / n_w
+        o_minus_e += d1_w - d_w * share
+        var += d_w * share * (1.0 - share) * (n_w - d_w) / (n_w - 1.0)
+    if var <= 0:
+        return 0.0, 1.0
+    stat = o_minus_e**2 / var
+    return float(stat), float(chdtrc(1, stat))
+
+
+def concordance(scores, times, events, weights=None) -> float:
+    """Harrell's C: fraction of usable pairs ordered correctly by risk score.
+
+    A pair is usable when the earlier time belongs to an observed event and
+    the times differ; score ties count one half.  Weighted pairs contribute
+    w_i * w_j.
+    """
+    times, events, weights = _check_samples(times, events, weights)
+    scores = np.asarray(scores, dtype=float)
+
+    usable = 0.0
+    concordant = 0.0
+    for i in np.flatnonzero(events == 1.0):
+        later = times > times[i]
+        if not np.any(later):
+            continue
+        pair_w = weights[i] * weights[later]
+        usable += pair_w.sum()
+        higher = scores[i] > scores[later]
+        tied = scores[i] == scores[later]
+        concordant += pair_w @ (higher + 0.5 * tied)
+    if usable == 0:
+        raise ValueError("no usable pairs")
+    return float(concordant / usable)
+
+
+def fit_aalen(times, events, X, names=None, weights=None, horizon=None) -> AalenModel:
+    """Additive hazard fit: per event time t, dB(t) solves the weighted
+    least-squares system over the at-risk set,
+
+        dB(t) = (X' W X)^-1 X' W dN(t),
+
+    and B(t) is the running sum.  Event times whose at-risk design is
+    rank-deficient (condition number above 1e10) are dropped.
+    """
+    times, events, weights = _check_samples(times, events, weights)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) != len(times):
+        raise ValueError("covariate matrix must be 2-d with one row per sample")
+    if events.sum() == 0:
+        raise ValueError("need at least one event")
+    design = np.hstack([np.ones((len(times), 1)), X])
+    p = design.shape[1]
+    if names is None:
+        names = tuple(f"x{j}" for j in range(X.shape[1]))
+    all_names = ("Intercept",) + tuple(names)
+
+    event_times = np.unique(times[events == 1.0])
+    if horizon is not None:
+        event_times = event_times[event_times <= horizon]
+
+    used_times = []
+    increments = []
+    variance = np.zeros((p, p))
+    for t in event_times:
+        at_risk = times >= t
+        Xr = design[at_risk]
+        wr = weights[at_risk]
+        dn = ((times[at_risk] == t) & (events[at_risk] == 1.0)).astype(float)
+        xtwx = Xr.T @ (Xr * wr[:, None])
+        if np.linalg.cond(xtwx) > RANK_CONDITION_LIMIT:
+            continue
+        solver = np.linalg.solve(xtwx, (Xr * wr[:, None]).T)  # (X'WX)^-1 X'W
+        increments.append(solver @ dn)
+        variance += (solver * dn) @ solver.T
+        used_times.append(t)
+
+    if not used_times:
+        raise ValueError("design is rank-deficient at every event time")
+
+    used_times = np.asarray(used_times)
+    cumulative = np.cumsum(np.asarray(increments), axis=0)
+    coef = cumulative[-1]
+    se = np.sqrt(np.clip(np.diag(variance), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, coef / se, 0.0)
+    p_values = 2.0 * ndtr(-np.abs(z))
+
+    # least-squares slope of each cumulative coefficient against time
+    t_centered = used_times - used_times.mean()
+    denom = float(t_centered @ t_centered)
+    if denom > 0:
+        slope = (t_centered @ (cumulative - cumulative.mean(axis=0))) / denom
+    else:
+        slope = np.zeros(p)
+
+    if p > 1:
+        block = variance[1:, 1:]
+        chi2 = float(coef[1:] @ np.linalg.pinv(block) @ coef[1:])
+        chi2_df = p - 1
+        chi2_p = float(chdtrc(chi2_df, chi2))
+    else:
+        chi2, chi2_df, chi2_p = 0.0, 0, 1.0
+
+    return AalenModel(
+        names=all_names,
+        times=used_times,
+        cumulative=cumulative,
+        slope=slope,
+        coef=coef,
+        se=se,
+        z=z,
+        p=p_values,
+        chi2=chi2,
+        chi2_df=chi2_df,
+        chi2_p=chi2_p,
+        n_event_times_used=len(used_times),
+        n_event_times_total=len(event_times),
+    )
+
+
+def nelson_aalen(times, events, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted cumulative hazard: sum of d^w_t / n^w_t over event times."""
+    times, events, weights = _check_samples(times, events, weights)
+    event_times = np.unique(times[events == 1.0])
+    values = []
+    total = 0.0
+    for t in event_times:
+        n_w = float(weights[times >= t].sum())
+        d_w = float(weights[(times == t) & (events == 1.0)].sum())
+        total += d_w / n_w
+        values.append(total)
+    return event_times, np.asarray(values)

@@ -330,7 +330,103 @@ class TestWeightsFile:
         assert not (out / "km_unadjusted_control.csv").exists()
 
 
+class TestPairsFile:
+    """survival checks every row of pairs.csv before it writes anything."""
+
+    def matched_dir(self, tmp_path):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        z = read_scores(out / "scores.csv")[0]
+        pairs = read_pairs(out / "pairs.csv")
+        used = {i for pair in pairs for i in pair}
+        free = {
+            arm: [i for i in range(len(z)) if z[i] == value and i not in used]
+            for arm, value in (("treated", 1.0), ("control", 0.0))
+        }
+        return out, pairs, free
+
+    def fails_on_appended_row(self, out, pairs, row, capsys):
+        text = "treated,control\n" + "".join(f"{t},{c}\n" for t, c in pairs) + row + "\n"
+        (out / "pairs.csv").write_text(text, encoding="utf-8")
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        assert not (out / "km_unadjusted_control.csv").exists()
+        err = capsys.readouterr().err
+        assert f"row {len(pairs) + 2}:" in err
+        return err
+
+    def test_index_outside_the_cohort(self, tmp_path, capsys):
+        out, pairs, _ = self.matched_dir(tmp_path)
+        err = self.fails_on_appended_row(out, pairs, "500,3", capsys)
+        assert "treated index 500 is outside the cohort [0, 120)" in err
+
+    def test_negative_index_does_not_wrap(self, tmp_path, capsys):
+        out, pairs, free = self.matched_dir(tmp_path)
+        err = self.fails_on_appended_row(out, pairs, f"{free['treated'][0]},-1", capsys)
+        assert "control index -1 is outside the cohort" in err
+
+    def test_arm_swapped_pair(self, tmp_path, capsys):
+        out, pairs, free = self.matched_dir(tmp_path)
+        row = f"{free['control'][0]},{free['treated'][0]}"
+        err = self.fails_on_appended_row(out, pairs, row, capsys)
+        assert f"treated subject {free['control'][0]} has z=0" in err
+
+    @pytest.mark.parametrize("arm", ["treated", "control"])
+    def test_subject_used_twice(self, tmp_path, capsys, arm):
+        out, pairs, free = self.matched_dir(tmp_path)
+        treated, control = pairs[0]
+        row = f"{treated},{free['control'][0]}" if arm == "treated" else f"{free['treated'][0]},{control}"
+        err = self.fails_on_appended_row(out, pairs, row, capsys)
+        reused = treated if arm == "treated" else control
+        assert f"subject {reused} appears in an earlier pair" in err
+
+    def test_valid_pairs_still_analysed(self, tmp_path):
+        out, pairs, _ = self.matched_dir(tmp_path)
+        assert run("survival", "--out-dir", str(out)) == EXIT_OK
+        assert json.loads((out / "cox.json").read_text())["n"] == 2 * len(pairs)
+
+
+class TestMissingColumns:
+    @pytest.mark.parametrize(
+        "adjust, name, header, column",
+        [
+            ("nn", "pairs.csv", "treated,ctrl", "control"),
+            ("nn", "pairs.csv", "case,control", "treated"),
+            ("mw", "weights.csv", "subject,w", "weight"),
+        ],
+    )
+    def test_named_in_a_clean_error(self, tmp_path, capsys, adjust, name, header, column):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        assert run("adjust", "--out-dir", str(out), "--adjust", adjust) == EXIT_OK
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        (out / name).write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert name in err and f"no {column!r} column" in err
+
+    def test_short_row_named_in_a_clean_error(self, tmp_path, capsys):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        lines = (out / "pairs.csv").read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].split(",")[0]
+        (out / "pairs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        assert "pairs.csv: row 4: too few fields" in capsys.readouterr().err
+
+
 class TestCoxRecord:
+    def test_cox_json_records_step_halvings(self, tmp_path):
+        from qcausal.survival import fit_cox
+
+        out = prepared_dir(tmp_path, n=200, seed=3)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK
+        assert run("survival", "--out-dir", str(out)) == EXIT_OK
+        record = json.loads((out / "cox.json").read_text())
+        cohort, _ = load_cohort(out / "cohort.csv")
+        covariates = ("Age", "Sex", "BMI", "ASA", "Stage")
+        X = np.column_stack([cohort.matrix(covariates), cohort.z])
+        model = fit_cox(cohort.times, cohort.events, X, weights=read_weights(out / "weights.csv"))
+        assert record["halvings"] == model.halvings == 0
+
     def test_cox_json_keeps_fit_diagnostics(self, tmp_path):
         from qcausal.survival import fit_cox
 

@@ -45,6 +45,13 @@ def test_stage_modules_skip_stats_and_optimize():
     assert "scipy.optimize" not in modules
 
 
+def test_stage_modules_skip_scipy_linear_algebra():
+    # the survival solves use numpy.linalg; scipy.linalg and scipy.sparse stay unloaded
+    modules, _ = loaded_after("import qcausal.cli, qcausal.survival")
+    assert "scipy.linalg" not in modules
+    assert "scipy.sparse" not in modules
+
+
 def test_package_import_loads_no_submodule():
     modules, printed = loaded_after(
         "import qcausal\nprint(sorted(m for m in sys.modules if m.startswith('qcausal.')))"

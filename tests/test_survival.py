@@ -228,6 +228,25 @@ class TestCox:
         duplicated = fit_cox(times[reps], events[reps], x[reps], ties="breslow", tol=1e-12)
         assert np.allclose(weighted.coef, duplicated.coef, atol=1e-8)
 
+    def test_well_behaved_fit_takes_full_newton_steps(self):
+        times, events, x, _ = simulate_cox_data(400, 0.7, 0.25, seed=9)
+        model = fit_cox(times, events, x)
+        assert model.converged
+        assert model.halvings == 0
+
+    def test_overshooting_newton_step_is_halved_and_counted(self):
+        # one death (x=1) among 50 subjects at x=0 and one at x=10: the
+        # information at beta=0 is small, so the first full step overshoots.
+        # The optimum solves 9 exp(10 beta) = 50.
+        m = 50
+        times = np.r_[1.0, np.full(m + 1, 2.0)]
+        events = np.r_[1.0, np.zeros(m + 1)]
+        x = np.r_[1.0, np.zeros(m), 10.0][:, None]
+        model = fit_cox(times, events, x)
+        assert model.converged and not model.separation
+        assert model.halvings >= 1
+        assert model.coef[0] == pytest.approx(math.log(m / 9.0) / 10.0, abs=1e-9)
+
     def test_constant_covariate_rejected(self):
         with pytest.raises(ValueError):
             fit_cox([1.0, 2.0, 3.0], [1, 1, 0], np.ones((3, 1)))
