@@ -43,7 +43,7 @@ def main():
                 max_evaluations=args.max_evals,
             )
             config.validate()
-            scores = cli._fit_scores(config, cohort, idx)[idx]
+            scores = cli._fit_scores(config, cohort, idx)[0][idx]
             _, auc = metrics.roc_and_auc(scores, labels)
             print(
                 f"{size:>6} {model:>14} {auc:>6.3f} "

@@ -15,7 +15,10 @@ cumulative residual sums, with the same per-element arithmetic as a scalar
 scan.  The winner follows a sequential rule, not argmin: the first candidate
 in feature-then-threshold order, replaced by each later one whose SSE is
 lower by more than 1e-15.  A tree is applied to a whole matrix at once by
-splitting the block of row indices at each node.
+splitting the block of row indices at each node.  While it fits, each leaf
+writes its value at the training rows that reach it, so the boosting update
+reads the new tree's outputs from that buffer and never routes the training
+matrix through the tree.
 """
 
 from __future__ import annotations
@@ -169,15 +172,21 @@ def _column_orders(X) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable")
 
 
-def _fit_tree(X, residuals, rows, orders, depth) -> TreeNode:
+def _fit_tree(X, residuals, rows, orders, depth, leaf_values=None) -> TreeNode:
     """Grow the subtree of the node holding `rows` (ascending), whose
-    per-feature sorted orders are the rows of `orders`."""
+    per-feature sorted orders are the rows of `orders`.  When `leaf_values`
+    is given, each leaf writes its value there at the rows that reach it."""
     node_residuals = residuals[rows]
     node = TreeNode(value=float(node_residuals.mean()))
-    if depth == 0 or len(rows) < 2 or np.allclose(node_residuals, node_residuals[0]):
-        return node
-    found = _best_split(X, residuals, orders, node_residuals)
+    found = None
+    if depth > 0 and len(rows) > 1:
+        # np.allclose(node_residuals, r0) written out; residuals are finite
+        r0 = node_residuals[0]
+        if not np.all(np.abs(node_residuals - r0) <= 1e-8 + 1e-5 * abs(r0)):
+            found = _best_split(X, residuals, orders, node_residuals)
     if found is None:
+        if leaf_values is not None:
+            leaf_values[rows] = node.value
         return node
     node.feature, node.threshold = found
     left = X[:, node.feature] <= node.threshold
@@ -186,11 +195,11 @@ def _fit_tree(X, residuals, rows, orders, depth) -> TreeNode:
     flat, d = orders.ravel(), len(orders)
     node.left = _fit_tree(
         X, residuals, rows.compress(row_left),
-        flat.compress(order_left).reshape(d, -1), depth - 1,
+        flat.compress(order_left).reshape(d, -1), depth - 1, leaf_values,
     )
     node.right = _fit_tree(
         X, residuals, rows.compress(~row_left),
-        flat.compress(~order_left).reshape(d, -1), depth - 1,
+        flat.compress(~order_left).reshape(d, -1), depth - 1, leaf_values,
     )
     return node
 
@@ -243,12 +252,13 @@ def fit_gbm(X, y, n_trees: int = 100, depth: int = 3, learning_rate: float = 0.1
     scores = np.full(len(y), f0)
     rows = np.arange(len(y))
     orders = _column_orders(X)
+    leaf_values = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(n_trees):
         residuals = y - _sigmoid(scores)
-        tree = _fit_tree(X, residuals, rows, orders, depth)
-        trees.append(tree)
-        scores = scores + learning_rate * _tree_values(tree, X)
+        # the leaves partition the rows, so this is _tree_values(tree, X)
+        trees.append(_fit_tree(X, residuals, rows, orders, depth, leaf_values))
+        scores = scores + learning_rate * leaf_values
     return GbmModel(trees, learning_rate, f0, X.shape[1])
 
 

@@ -140,8 +140,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _read_rows(path, columns):
-    """Yield (line number, row) for each data row of a CSV; a missing column
-    or a row too short to hold every column is a ValueError naming the file."""
+    """Yield (line number, values) for each data row of a CSV, where `columns`
+    maps each column to read to its type, int or float.  A missing column, a
+    row too short to hold every column or a cell that is not a number of its
+    column's type is a ValueError naming the file and, for a cell, the row
+    and column."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         for name in columns:
@@ -150,29 +153,59 @@ def _read_rows(path, columns):
         for line, row in enumerate(reader, start=2):
             if any(row[name] is None for name in columns):
                 raise ValueError(f"{path}: row {line}: too few fields")
-            yield line, row
+            values = []
+            for name, kind in columns.items():
+                try:
+                    values.append(kind(row[name]))
+                except ValueError:
+                    what = "an integer" if kind is int else "a number"
+                    raise ValueError(
+                        f"{path}: row {line}: {name} is not {what}: {row[name]!r}"
+                    ) from None
+            yield line, values
 
 
 def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse scores.csv back into (z, propensity) arrays; a propensity that
     is not a finite number is a ValueError naming its row."""
     z, ps = [], []
-    for line, row in _read_rows(path, ("z", "propensity")):
-        z.append(float(row["z"]))
-        ps.append(float(row["propensity"]))
-        if not math.isfinite(ps[-1]):
-            token = row["propensity"]
-            raise ValueError(f"{path}: row {line}: propensity is not finite: {token!r}")
+    for line, (group, score) in _read_rows(path, {"z": float, "propensity": float}):
+        if not math.isfinite(score):
+            raise ValueError(f"{path}: row {line}: propensity is not finite: {score!r}")
+        z.append(group)
+        ps.append(score)
     return np.asarray(z), np.asarray(ps)
 
 
 def read_pairs(path) -> list[tuple[int, int]]:
-    rows = _read_rows(path, ("treated", "control"))
-    return [(int(row["treated"]), int(row["control"])) for _, row in rows]
+    return [tuple(pair) for _, pair in _read_rows(path, {"treated": int, "control": int})]
 
 
-def read_weights(path) -> np.ndarray:
-    return np.asarray([float(row["weight"]) for _, row in _read_rows(path, ("weight",))])
+def read_weights(path, n: int | None = None) -> np.ndarray:
+    """Parse weights.csv into one weight per subject, placed by its `subject`
+    column, so the row order does not matter.  Every subject in [0, n) must
+    have exactly one row, n defaulting to the number of rows; otherwise a
+    ValueError names the offending row, or the first subject without one."""
+    rows = list(_read_rows(path, {"subject": int, "weight": float}))
+    n = len(rows) if n is None else n
+    weights = np.empty(n)
+    seen = np.zeros(n, dtype=bool)
+    for line, (subject, weight) in rows:
+        if not 0 <= subject < n:
+            raise ValueError(
+                f"{path}: row {line}: subject {subject} is outside the cohort [0, {n})"
+            )
+        if seen[subject]:
+            raise ValueError(f"{path}: row {line}: subject {subject} appears in an earlier row")
+        seen[subject] = True
+        weights[subject] = weight
+    if len(rows) < n:
+        missing = int(np.argmin(seen))
+        raise ValueError(
+            f"{path}: holds {len(rows)} weights for {n} subjects, none for subject "
+            f"{missing}; re-run `qcausal adjust`"
+        )
+    return weights
 
 
 def _check_pairs(pairs, z, path) -> None:
@@ -249,7 +282,9 @@ def _subsample_indices(z: np.ndarray, size: str, seed: int) -> np.ndarray:
 
 
 def _fit_scores(config: RunConfig, cohort: data.Cohort, fit_idx: np.ndarray):
-    """Fit the chosen model on the subsample; score every subject."""
+    """Fit the chosen model on the subsample and score every subject: returns
+    (scores, training), where training records a circuit model's CMA-ES run
+    and is None for the classical models."""
     model_seed = _stage_seed(config.seed, 2)
     z_fit = cohort.z[fit_idx]
 
@@ -262,7 +297,7 @@ def _fit_scores(config: RunConfig, cohort: data.Cohort, fit_idx: np.ndarray):
         else:
             model = classical.fit_gbm(X_fit, z_fit)
             raw = classical.predict_gbm(model, X_all)
-        return np.clip(raw, CLASSICAL_CLIP, 1.0 - CLASSICAL_CLIP)
+        return np.clip(raw, CLASSICAL_CLIP, 1.0 - CLASSICAL_CLIP), None
 
     _, encoder = data.encode_features(cohort.subset(fit_idx), MODEL_COVARIATES)
     angles_all = encoder.transform(cohort.matrix(MODEL_COVARIATES))
@@ -288,14 +323,20 @@ def _fit_scores(config: RunConfig, cohort: data.Cohort, fit_idx: np.ndarray):
         config=qnn_config,
         cmaes_config=CmaesConfig(max_evaluations=config.max_evaluations, seed=model_seed),
     )
-    return qnn.predict_propensities(fitted, angles_all, seed=(model_seed, 7))
+    training = {
+        "evaluations": fitted.evaluations,
+        "generations": fitted.generations,
+        "stop_reason": fitted.stop_reason,
+        "best_loss": fitted.trace[-1],
+    }
+    return qnn.predict_propensities(fitted, angles_all, seed=(model_seed, 7)), training
 
 
 def cmd_fit_ps(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     cohort = _load_cohort(out_dir)
     fit_idx = _subsample_indices(cohort.z, config.sample, _stage_seed(config.seed, 1))
-    scores = _fit_scores(config, cohort, fit_idx)
+    scores, training = _fit_scores(config, cohort, fit_idx)
 
     _write_csv(
         out_dir / "scores.csv",
@@ -324,6 +365,8 @@ def cmd_fit_ps(config: RunConfig) -> int:
             "seed": config.seed,
         },
     }
+    if training is not None:
+        payload["training"] = training
     _write_json(out_dir / "metrics.json", payload)
     return EXIT_OK
 
@@ -480,12 +523,7 @@ def cmd_survival(config: RunConfig) -> int:
             "re-run `qcausal adjust`"
         )
     if weights_path.exists():
-        weights = read_weights(weights_path)
-        if len(weights) != cohort.n:
-            raise ValueError(
-                f"weights.csv holds {len(weights)} weights but cohort.csv has "
-                f"{cohort.n} subjects; re-run `qcausal adjust`"
-            )
+        weights = read_weights(weights_path, cohort.n)
         surv._check_samples(cohort.times, cohort.events, weights)
         analysis = cohort
         analysis_weights = weights

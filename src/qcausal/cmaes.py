@@ -6,6 +6,10 @@ parameters, parent fraction 1/2, mean learning rate 1, and a damping factor
 of 1 applied as a multiplier on the canonical step-size damping.  Remaining
 learning rates (c_sigma, c_c, c_1, c_mu) use the canonical dimension-dependent
 defaults with log-rank recombination weights.
+
+The eigendecomposition of the covariance is computed once per generation:
+`ask` and `tell` share it through `CmaesState.eigen`, which `tell` clears
+when it replaces the covariance.
 """
 
 from __future__ import annotations
@@ -83,6 +87,8 @@ class CmaesState:
     best_point: np.ndarray | None = None
     best_value: float = math.inf
     evaluations: int = 0
+    # _decompose(cov), cached; whatever replaces cov must reset this to None
+    eigen: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 def init_state(x0: Sequence[float], config: CmaesConfig) -> CmaesState:
@@ -108,11 +114,17 @@ def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(eigvals, EIGEN_FLOOR), eigvecs
 
 
+def _eigen(state: CmaesState) -> tuple[np.ndarray, np.ndarray]:
+    if state.eigen is None:
+        state.eigen = _decompose(state.cov)
+    return state.eigen
+
+
 def ask(state: CmaesState, config: CmaesConfig) -> np.ndarray:
     """Sample the population for this generation; deterministic per (seed, generation)."""
     m = state.mean.size
     lam = config.population_for(m)
-    eigvals, eigvecs = _decompose(state.cov)
+    eigvals, eigvecs = _eigen(state)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, state.generation)))
     z = rng.standard_normal((lam, m))
     return state.mean + state.sigma * (z * np.sqrt(eigvals)) @ eigvecs.T
@@ -148,7 +160,7 @@ def tell(
     shift = weights @ (parents - old_mean)
     state.mean = old_mean + config.c_mean * shift
 
-    eigvals, eigvecs = _decompose(state.cov)
+    eigvals, eigvecs = _eigen(state)
     inv_sqrt = eigvecs @ ((eigvecs / np.sqrt(eigvals)).T)
     z = inv_sqrt @ shift / state.sigma
     state.path_sigma = (1.0 - cs) * state.path_sigma + math.sqrt(
@@ -171,6 +183,7 @@ def tell(
         + cmu * rank_mu
     )
     state.cov = (cov + cov.T) / 2.0
+    state.eigen = None
 
     state.sigma *= math.exp(
         min(1.0, (cs / damps) * (math.sqrt(ps_norm2) / chi_m - 1.0))

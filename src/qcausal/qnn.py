@@ -9,6 +9,11 @@ term,
 
 with the gradient-free CMA-ES loop from `qcausal.cmaes`.  Parameter-shift
 gradients are provided as a verification tool for the exact evaluation mode.
+
+Without trained circuit angles the encoded states do not depend on theta, so
+`fit` encodes the training rows once and every objective evaluation reads f
+and Var_f off those states; with trained angles each evaluation encodes anew.
+Either way one helper, `_loss`, computes the objective from the states.
 """
 
 from __future__ import annotations
@@ -144,19 +149,22 @@ def _states(params: QnnParams, X, config: QnnConfig) -> ProductStates:
     return encode(X, config.layers, variational)
 
 
-def _predict_rows(params: QnnParams, X, config: QnnConfig, seed=None) -> np.ndarray:
-    """f(x_i) for every row of X under the configured evaluation mode.
+def _outputs(states: ProductStates, obs: PauliSumObservable, config: QnnConfig, seed) -> np.ndarray:
+    """f per row of `states` under the configured evaluation mode.
 
     Stochastic modes draw every row and term from one generator seeded with
     `seed`, which defaults to config.seed.
     """
-    states = _states(params, X, config)
-    obs = params.observable()
     mode = config.eval_mode
     if mode.kind == "exact":
         return states.expectation(obs)
     rng = np.random.default_rng(config.seed if seed is None else seed)
     return states.sample(obs, mode.shots, rng, mode.noise or NoiseModel())
+
+
+def _predict_rows(params: QnnParams, X, config: QnnConfig, seed=None) -> np.ndarray:
+    """f(x_i) for every row of X under the configured evaluation mode."""
+    return _outputs(_states(params, X, config), params.observable(), config, seed)
 
 
 def predict(params: QnnParams, x: Sequence[float], config: QnnConfig, seed=None) -> float:
@@ -187,6 +195,16 @@ def _check_training_arrays(X, y, w):
     return X, y, w
 
 
+def _loss(params: QnnParams, states: ProductStates, y, w, config: QnnConfig, seed) -> float:
+    """loss_fit + alpha * loss_variance on the states of the training rows."""
+    obs = params.observable()
+    residual = _outputs(states, obs, config, seed) - y
+    value = float(np.sum(w * residual * residual))
+    if config.alpha > 0:
+        value += config.alpha * float(np.sum(states.variance(obs)))
+    return float(value)
+
+
 def loss_fit(params: QnnParams, X, y, w, config: QnnConfig, seed=None) -> float:
     """sum_i w_i (f(x_i) - y_i)^2 on raw (unclipped) predictions."""
     X, y, w = _check_training_arrays(X, y, w)
@@ -204,11 +222,10 @@ def loss_variance(params: QnnParams, X, config: QnnConfig) -> float:
 
 
 def total_loss(params: QnnParams, X, y, w, config: QnnConfig, seed=None) -> float:
-    """The training objective: loss_fit + alpha * loss_variance."""
-    value = loss_fit(params, X, y, w, config, seed=seed)
-    if config.alpha > 0:
-        value += config.alpha * loss_variance(params, X, config)
-    return float(value)
+    """The training objective: loss_fit + alpha * loss_variance, from one
+    encoding of X."""
+    X, y, w = _check_training_arrays(X, y, w)
+    return _loss(params, _states(params, X, config), y, w, config, seed)
 
 
 def gradient_parameter_shift(params: QnnParams, x, config: QnnConfig) -> np.ndarray:
@@ -236,6 +253,8 @@ class FittedQnn:
     params: QnnParams
     trace: tuple[float, ...] = field(default=())  # best loss per generation
     evaluations: int = 0
+    generations: int = 0
+    stop_reason: str = ""  # why CMA-ES stopped; see cmaes.minimize
 
 
 def fit(
@@ -249,7 +268,9 @@ def fit(
 
     Stochastic eval modes seed one generator per objective evaluation with
     (seed, evaluation counter), so the objective is noisy but the whole run
-    replays exactly.
+    replays exactly.  X, y and w are checked once.  Without trained angles
+    the rows are encoded once, before CMA-ES starts; with them, once per
+    evaluation.  Each evaluation equals total_loss at its parameters.
     """
     if config is None:
         raise ValueError("a QnnConfig is required")
@@ -262,10 +283,13 @@ def fit(
     classes = set(np.unique(y))
     if not classes == {0.0, 1.0}:
         raise ValueError("labels must contain both classes 0 and 1")
+    X, y, w = _check_training_arrays(X, y, w)
 
     if cmaes_config is None:
         cmaes_config = cmaes.CmaesConfig(max_evaluations=4000, seed=config.seed)
 
+    start = initial_params(config)
+    fixed = None if config.variational_enabled else _states(start, X, config)
     stochastic = config.eval_mode.kind != "exact"
     counter = 0
 
@@ -273,14 +297,18 @@ def fit(
         nonlocal counter
         counter += 1
         seed = (config.seed, counter) if stochastic else None
-        return total_loss(unpack_params(vector, config), X, y, w, config, seed=seed)
+        params = unpack_params(vector, config)
+        states = _states(params, X, config) if fixed is None else fixed
+        return _loss(params, states, y, w, config, seed)
 
-    result = cmaes.minimize(objective, initial_params(config).pack(), cmaes_config)
+    result = cmaes.minimize(objective, start.pack(), cmaes_config)
     return FittedQnn(
         config=config,
         params=unpack_params(result.best_point, config),
         trace=tuple(result.trace),
         evaluations=result.evaluations,
+        generations=result.generations,
+        stop_reason=result.stop_reason,
     )
 
 

@@ -9,15 +9,18 @@ greedy matchers on full treated x control distance matrices.  The boosted-tree
 oracles are the earlier per-node argsort, scalar split scan and row-by-row tree
 walk.  The survival oracles are the earlier estimators that rebuilt the at-risk
 set once per event time, and Harrell's C that compared every event with every
-later subject.
+later subject.  The CMA-ES oracles are the earlier `ask` and `tell`, which
+decomposed the covariance once each per generation.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from qcausal.adjust import MatchSet
+from qcausal.cmaes import CmaesConfig, CmaesState, _decompose, _strategy
 from qcausal.classical import GbmModel, TreeNode, _sigmoid
 from qcausal.survival import (
     RANK_CONDITION_LIMIT,
@@ -598,3 +601,81 @@ def nelson_aalen(times, events, weights=None) -> tuple[np.ndarray, np.ndarray]:
         total += d_w / n_w
         values.append(total)
     return event_times, np.asarray(values)
+
+
+# ---------------------------------------------------------------------------
+# CMA-ES reference: ask and tell as they were before they shared one
+# eigendecomposition per generation, verbatim
+# ---------------------------------------------------------------------------
+
+
+def ask(state: CmaesState, config: CmaesConfig) -> np.ndarray:
+    """Sample the population for this generation; deterministic per (seed, generation)."""
+    m = state.mean.size
+    lam = config.population_for(m)
+    eigvals, eigvecs = _decompose(state.cov)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, state.generation)))
+    z = rng.standard_normal((lam, m))
+    return state.mean + state.sigma * (z * np.sqrt(eigvals)) @ eigvecs.T
+
+
+def tell(
+    state: CmaesState,
+    candidates: np.ndarray,
+    values: Sequence[float],
+    config: CmaesConfig,
+) -> CmaesState:
+    """Rank candidates and update mean, step size, covariance, and paths."""
+    candidates = np.asarray(candidates, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(values) != len(candidates):
+        raise ValueError("values and candidates must have equal length")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("objective returned a non-finite value")
+
+    m = state.mean.size
+    lam = len(candidates)
+    weights, mueff, cs, cc, c1, cmu, damps, chi_m, mu = _strategy(
+        m, lam, config.parent_fraction, config.damping_factor
+    )
+
+    order = np.argsort(values, kind="stable")
+    if values[order[0]] < state.best_value:
+        state.best_value = float(values[order[0]])
+        state.best_point = candidates[order[0]].copy()
+
+    parents = candidates[order[:mu]]
+    old_mean = state.mean
+    shift = weights @ (parents - old_mean)
+    state.mean = old_mean + config.c_mean * shift
+
+    eigvals, eigvecs = _decompose(state.cov)
+    inv_sqrt = eigvecs @ ((eigvecs / np.sqrt(eigvals)).T)
+    z = inv_sqrt @ shift / state.sigma
+    state.path_sigma = (1.0 - cs) * state.path_sigma + math.sqrt(
+        cs * (2.0 - cs) * mueff
+    ) * z
+
+    gen1 = state.generation + 1
+    ps_norm2 = float(state.path_sigma @ state.path_sigma)
+    hsig = ps_norm2 / m / (1.0 - (1.0 - cs) ** (2 * gen1)) < 2.0 + 4.0 / (m + 1.0)
+    state.path_cov = (1.0 - cc) * state.path_cov + hsig * math.sqrt(
+        cc * (2.0 - cc) * mueff
+    ) * shift / state.sigma
+
+    c1a = c1 * (1.0 - (not hsig) * cc * (2.0 - cc))
+    y = (parents - old_mean) / state.sigma
+    rank_mu = (weights[:, None] * y).T @ y
+    cov = (
+        (1.0 - c1a - cmu) * state.cov
+        + c1 * np.outer(state.path_cov, state.path_cov)
+        + cmu * rank_mu
+    )
+    state.cov = (cov + cov.T) / 2.0
+
+    state.sigma *= math.exp(
+        min(1.0, (cs / damps) * (math.sqrt(ps_norm2) / chi_m - 1.0))
+    )
+    state.generation = gen1
+    state.evaluations += lam
+    return state

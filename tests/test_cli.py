@@ -330,6 +330,112 @@ class TestWeightsFile:
         assert not (out / "km_unadjusted_control.csv").exists()
 
 
+class TestWeightsBySubject:
+    """survival places each weight by its `subject` column, not its row."""
+
+    def weighted_dir(self, tmp_path):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK
+        lines = (out / "weights.csv").read_text(encoding="utf-8").splitlines()
+        return out, lines[0], lines[1:]
+
+    def write(self, out, header, rows):
+        (out / "weights.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+    def test_shuffled_rows_give_the_same_analysis(self, tmp_path):
+        out, header, rows = self.weighted_dir(tmp_path)
+        assert run("survival", "--out-dir", str(out)) == EXIT_OK
+        before = {name: (out / name).read_bytes() for name in ("logrank.json", "cox.json")}
+        order = np.random.default_rng(0).permutation(len(rows))
+        self.write(out, header, [rows[i] for i in order])
+        assert run("survival", "--out-dir", str(out)) == EXIT_OK
+        for name, content in before.items():
+            assert (out / name).read_bytes() == content, name
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("duplicate", "row 11: subject 3 appears in an earlier row"),
+            ("outside", "row 11: subject 120 is outside the cohort [0, 120)"),
+            ("negative", "row 11: subject -1 is outside the cohort [0, 120)"),
+            ("missing", "holds 119 weights for 120 subjects, none for subject 9"),
+        ],
+    )
+    def test_bad_subject_exits_1(self, tmp_path, capsys, edit, message):
+        out, header, rows = self.weighted_dir(tmp_path)
+        weight = rows[9].split(",")[1]
+        if edit == "missing":
+            del rows[9]
+        else:
+            subject = {"duplicate": 3, "outside": 120, "negative": -1}[edit]
+            rows[9] = f"{subject},{weight}"  # file row 11
+        self.write(out, header, rows)
+        capsys.readouterr()
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "weights.csv" in err and message in err
+        assert not (out / "km_unadjusted_control.csv").exists()
+
+
+class TestMalformedCells:
+    """A cell that is not a number names its file, row and column."""
+
+    def test_fractional_pair_index(self, tmp_path, capsys):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        text = (out / "pairs.csv").read_text(encoding="utf-8")
+        (out / "pairs.csv").write_text(text + "6.0,1\n", encoding="utf-8")
+        row = len(text.splitlines()) + 1
+        capsys.readouterr()
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert f"pairs.csv: row {row}: treated is not an integer: '6.0'" in err
+        assert not (out / "km_unadjusted_control.csv").exists()
+
+    def test_word_for_a_weight(self, tmp_path, capsys):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "mw") == EXIT_OK
+        lines = (out / "weights.csv").read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].split(",")[0] + ",heavy"
+        (out / "weights.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        assert "weights.csv: row 6: weight is not a number: 'heavy'" in capsys.readouterr().err
+
+    def test_blank_score(self, tmp_path, capsys):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()
+        subject, z, _ = lines[2].split(",")
+        lines[2] = f"{subject},{z},"
+        (out / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_FAILURE
+        assert "scores.csv: row 3: propensity is not a number: ''" in capsys.readouterr().err
+
+
+class TestTrainingRecord:
+    def test_circuit_model_records_its_cmaes_run(self, tmp_path, fast_config):
+        from qcausal import qnn
+
+        run(*gen_args(tmp_path, n=120, seed=4))
+        args = ["fit-ps", "--out-dir", str(tmp_path), "--seed", "4", "--model", "qnn_exact"]
+        assert run(*args, "--config", fast_config) == EXIT_OK
+        training = json.loads((tmp_path / "metrics.json").read_text())["training"]
+        population = qnn.cmaes.default_population(qnn.QnnConfig(n_qubits=4).n_params)
+        generations = (40 - 1) // population
+        assert training == {
+            "evaluations": 1 + population * generations,
+            "generations": generations,
+            "stop_reason": "max_evaluations",
+            "best_loss": training["best_loss"],
+        }
+        assert 0.0 < training["best_loss"] < 120.0
+
+    def test_classical_model_has_no_training_block(self, tmp_path):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        assert "training" not in json.loads((out / "metrics.json").read_text())
+
+
 class TestPairsFile:
     """survival checks every row of pairs.csv before it writes anything."""
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from qcausal import cmaes
 from qcausal.cmaes import (
     CmaesConfig,
     ask,
@@ -164,3 +166,37 @@ class TestMinimize:
 
         with pytest.raises(RuntimeError):
             minimize(broken, np.ones(2), CmaesConfig(seed=0))
+
+
+class TestOneDecompositionPerGeneration:
+    """ask and tell share the covariance's eigendecomposition; minimize stays
+    bit-identical to the earlier ask/tell, which decomposed it twice."""
+
+    @pytest.mark.parametrize("dim, seed", [(1, 0), (3, 5), (7, 2), (13, 11)])
+    def test_minimize_matches_the_two_decomposition_oracle(self, monkeypatch, dim, seed):
+        config = CmaesConfig(max_evaluations=1200, seed=seed)
+        x0 = np.linspace(-1.0, 1.5, dim)
+        got = minimize(rosenbrock, x0, config)
+        monkeypatch.setattr(cmaes, "ask", oracles.ask)
+        monkeypatch.setattr(cmaes, "tell", oracles.tell)
+        want = minimize(rosenbrock, x0, config)
+        assert got.best_point.tobytes() == want.best_point.tobytes()
+        assert got.trace == want.trace
+        assert (got.evaluations, got.generations, got.stop_reason) == (
+            want.evaluations, want.generations, want.stop_reason,
+        )
+
+    def test_one_decomposition_per_generation(self, monkeypatch):
+        calls = []
+        real = cmaes._decompose
+        monkeypatch.setattr(cmaes, "_decompose", lambda cov: calls.append(1) or real(cov))
+        result = minimize(sphere, np.ones(4), CmaesConfig(max_evaluations=300, seed=1))
+        assert len(calls) == result.generations > 0
+
+    def test_tell_clears_the_cached_decomposition(self):
+        config = CmaesConfig(seed=3)
+        state = init_state([0.2, -0.4], config)
+        candidates = ask(state, config)
+        assert state.eigen is not None
+        tell(state, candidates, [sphere(c) for c in candidates], config)
+        assert state.eigen is None

@@ -80,6 +80,28 @@ def test_constant_feature_has_no_cut():
     assert all(tree.feature != 0 for tree in classical.fit_gbm(mixed, y, n_trees=10).trees)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_leaf_buffer_equals_routing_every_row(seed):
+    """fit_gbm updates its scores from the values the leaves write while the
+    tree grows; they equal the tree applied to the training matrix."""
+    X, _, depth = tie_heavy_instance(seed)
+    residuals = np.random.default_rng(seed).normal(size=len(X))
+    leaf_values = np.full(len(X), np.nan)
+    tree = classical._fit_tree(
+        X, residuals, np.arange(len(X)), classical._column_orders(X), depth, leaf_values
+    )
+    assert np.array_equal(leaf_values, classical._tree_values(tree, X))
+
+
+@pytest.mark.parametrize("r0", [0.3, -0.3, 0.0])
+@pytest.mark.parametrize("gap", [2e-9, 9e-9, 2.9e-6, 3.1e-6, 1e-3])
+def test_node_is_pure_exactly_when_allclose(r0, gap):
+    residuals = np.array([r0, r0 + gap, r0, r0 + gap, r0 - gap])
+    X = np.arange(5.0)[:, None]
+    tree = classical._fit_tree(X, residuals, np.arange(5), classical._column_orders(X), 2)
+    assert (tree.feature is None) == np.allclose(residuals, residuals[0])
+
+
 def test_generated_cohort_matches_oracle():
     cohort = data.generate_synthetic_cohort(data.SynthConfig(n=1500, seed=1))
     assert_same_fit(cohort.matrix(cli.MODEL_COVARIATES), cohort.z)

@@ -335,3 +335,88 @@ class TestBatchedEngine:
         fitted = FittedQnn(config, initial_params(config))
         scores = predict_propensities(fitted, np.tile([0.4, 1.1], (20, 1)))
         assert len(set(scores.tolist())) > 1
+
+
+MODES = {
+    "exact": EvalMode.exact(),
+    "shots": EvalMode.sampled(32),
+    "noisy": EvalMode.noisy(NoiseModel(depolarizing_prob=0.02, readout_flip_prob=0.01), 16),
+}
+
+
+def small_task(n_qubits=2, rows=20, seed=8):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, math.pi, (rows, n_qubits))
+    y = (rng.random(rows) < 0.5).astype(float)
+    y[:2] = [0, 1]
+    return X, y, rng.uniform(0.5, 2.0, rows)
+
+
+class TestEncodingHoist:
+    """fit reads every evaluation off states it encodes once per fit (or once
+    per evaluation with trained angles), and still equals total_loss."""
+
+    @pytest.mark.parametrize("variational", [False, True])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_fit_equals_total_loss_per_evaluation(self, mode, variational):
+        from qcausal import cmaes
+
+        X, y, w = small_task()
+        config = QnnConfig(n_qubits=2, variational_enabled=variational, eval_mode=MODES[mode], seed=4)
+        cmaes_config = cmaes.CmaesConfig(max_evaluations=120, seed=9)
+        counter = 0
+
+        def objective(vector):
+            nonlocal counter
+            counter += 1
+            seed = None if mode == "exact" else (config.seed, counter)
+            return total_loss(unpack_params(vector, config), X, y, w, config, seed=seed)
+
+        want = cmaes.minimize(objective, initial_params(config).pack(), cmaes_config)
+        got = fit(X, y, w, config=config, cmaes_config=cmaes_config)
+        assert got.params.pack().tobytes() == want.best_point.tobytes()
+        assert got.trace == tuple(want.trace)
+        assert (got.evaluations, got.generations, got.stop_reason) == (
+            want.evaluations, want.generations, want.stop_reason,
+        )
+
+    @pytest.mark.parametrize("variational", [False, True])
+    def test_encode_calls(self, monkeypatch, variational):
+        from qcausal import cmaes, qnn
+
+        calls = []
+        real = qnn.encode
+        monkeypatch.setattr(qnn, "encode", lambda *a, **k: calls.append(1) or real(*a, **k))
+        X, y, w = small_task()
+        config = QnnConfig(n_qubits=2, variational_enabled=variational, eval_mode=MODES["shots"])
+        fitted = fit(X, y, w, config=config, cmaes_config=cmaes.CmaesConfig(max_evaluations=60))
+        assert len(calls) == (fitted.evaluations if variational else 1)
+
+    def test_total_loss_encodes_once(self, monkeypatch):
+        from qcausal import qnn
+
+        calls = []
+        real = qnn.encode
+        monkeypatch.setattr(qnn, "encode", lambda *a, **k: calls.append(1) or real(*a, **k))
+        X, y, w = small_task()
+        config = QnnConfig(n_qubits=2, alpha=0.1)
+        total_loss(initial_params(config), X, y, w, config)
+        assert len(calls) == 1
+
+    def test_fit_keeps_the_training_record(self):
+        from qcausal import cmaes
+
+        X, y, w = small_task()
+        config = QnnConfig(n_qubits=2)
+        fitted = fit(X, y, w, config=config, cmaes_config=cmaes.CmaesConfig(max_evaluations=50))
+        lam = cmaes.default_population(config.n_params)
+        # the start point, then whole generations while one more fits in 50
+        assert fitted.generations == len(fitted.trace) - 1 == (50 - 1) // lam
+        assert fitted.evaluations == 1 + lam * fitted.generations
+        assert fitted.stop_reason == "max_evaluations"
+
+    def test_training_rows_checked_before_any_evaluation(self):
+        X, y, w = small_task()
+        w[3] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit(X, y, w, config=QnnConfig(n_qubits=2))
