@@ -93,19 +93,49 @@ def effective_sample_size(weights) -> float:
     return float(weights.sum() ** 2 / float(weights @ weights))
 
 
-def _weighted_mean_var(values, weights):
-    """Weighted mean and variance with the effective-sample-size dof correction."""
-    wsum = weights.sum()
-    mean = float(weights @ values / wsum)
-    n_eff = effective_sample_size(weights)
-    if n_eff <= 1:
-        return mean, 0.0, n_eff
-    var = float(weights @ (values - mean) ** 2 / wsum) * n_eff / (n_eff - 1.0)
-    return mean, var, n_eff
+def _arm_stats(values, weights=None, binary=False) -> tuple[float, float, float]:
+    """One arm's mean, variance and effective size.  Unweighted, the sample
+    mean and ddof=1 variance; weighted, the weighted mean and variance with
+    the effective-sample-size dof correction.  A dichotomous arm (`binary`)
+    takes p*(1-p) as its variance."""
+    if weights is None:
+        mean, n = values.mean(), float(len(values))
+    else:
+        wsum = weights.sum()
+        mean, n = float(weights @ values / wsum), effective_sample_size(weights)
+    if binary:
+        var = mean * (1.0 - mean)
+    elif n <= 1:
+        var = 0.0
+    elif weights is None:
+        var = values.var(ddof=1)
+    else:
+        var = float(weights @ (values - mean) ** 2 / wsum) * n / (n - 1.0)
+    return mean, var, n
 
 
 def _is_binary(values) -> bool:
     return set(np.unique(values)) <= {0.0, 1.0}
+
+
+def _smd(columns, binary, t_idx, c_idx, weights=None) -> np.ndarray:
+    """Signed SMD of each row of `columns` between the subjects `t_idx` and
+    `c_idx`, each arm's values taken in that order.  Continuous columns pool
+    the two arm variances; dichotomous ones (`binary`) use p*(1-p) in place
+    of the variance.  A zero pooled variance gives 0 for equal means, else
+    an infinite SMD."""
+    out = np.empty(len(columns))
+    for j, (col, is_binary) in enumerate(zip(columns, binary)):
+        (mt, vt, _), (mc, vc, _) = [
+            _arm_stats(col[idx], None if weights is None else weights[idx], is_binary)
+            for idx in (t_idx, c_idx)
+        ]
+        pooled = (vt + vc) / 2.0
+        if pooled <= 0:
+            out[j] = 0.0 if mt == mc else math.copysign(math.inf, mt - mc)
+        else:
+            out[j] = (mt - mc) / math.sqrt(pooled)
+    return out
 
 
 def smd(values, z, weights=None) -> float:
@@ -116,22 +146,11 @@ def smd(values, z, weights=None) -> float:
     """
     values = np.asarray(values, dtype=float)
     treated, control = _split_groups(z)
-    weights = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=float)
-    binary = _is_binary(values)
-
-    stats = []
-    for idx in (treated, control):
-        mean, var, _ = _weighted_mean_var(values[idx], weights[idx])
-        if binary:
-            var = mean * (1.0 - mean)
-        stats.append((mean, var))
-    (mt, vt), (mc, vc) = stats
-    pooled = (vt + vc) / 2.0
-    if pooled <= 0:
-        if mt == mc:
-            return 0.0
+    weights = None if weights is None else np.asarray(weights, dtype=float)
+    value = float(_smd(values[None], [_is_binary(values)], treated, control, weights)[0])
+    if math.isinf(value):
         raise ValueError("degenerate covariate: zero pooled variance with unequal means")
-    return (mt - mc) / math.sqrt(pooled)
+    return value
 
 
 def compute_weights(ps, z, scheme: str) -> WeightVector:
@@ -286,37 +305,6 @@ def _standardize(matrix):
     return (matrix - matrix.mean(axis=0)) / std
 
 
-def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
-    """Mean |SMD| over the covariate columns within a match set."""
-    covariates = np.asarray(covariates)
-    idx = match.matched_indices()
-    arm = np.asarray(z)[idx]
-    binary = [_is_binary(col) for col in covariates.T]
-    return _pair_smd(covariates.T, binary, idx[arm == 1], idx[arm == 0])
-
-
-def _pair_smd(columns, binary, t_idx, c_idx) -> float:
-    """Mean |SMD| of each column between the matched treated and controls,
-    taken in pair order; dichotomous columns use p*(1-p) variances."""
-    if len(t_idx) + len(c_idx) == 0:
-        return math.inf
-    total = 0.0
-    for col, is_binary in zip(columns, binary):
-        t_vals, c_vals = col[t_idx], col[c_idx]
-        mt, mc = t_vals.mean(), c_vals.mean()
-        if is_binary:
-            vt, vc = mt * (1 - mt), mc * (1 - mc)
-        else:
-            vt = t_vals.var(ddof=1) if len(t_vals) > 1 else 0.0
-            vc = c_vals.var(ddof=1) if len(c_vals) > 1 else 0.0
-        pooled = (vt + vc) / 2.0
-        if pooled <= 0:
-            total += 0.0 if mt == mc else math.inf
-        else:
-            total += abs(mt - mc) / math.sqrt(pooled)
-    return total / len(columns)
-
-
 def genetic_match(
     covariates,
     z,
@@ -370,6 +358,14 @@ def genetic_match(
         np.clip(out, 0.0, None, out=out)
         np.sqrt(out, out=out)
 
+    def mean_abs_smd(picks):
+        """Fitness of one genome's match: mean |SMD| over the covariates,
+        each arm taken in pair order; inf without a pair."""
+        t_idx, c_idx = core.pair_indices(picks)
+        if not len(t_idx):
+            return math.inf
+        return np.mean(np.abs(_smd(columns, binary, t_idx, c_idx)))
+
     def evaluate(genomes):
         """Greedy matches of a whole generation and their mean |SMD|."""
         picks = []
@@ -380,8 +376,7 @@ def genetic_match(
                 window_distances(genome, out)
             picks.append(core.run(distances))
         picks = np.concatenate(picks)
-        fitness = [_pair_smd(columns, binary, *core.pair_indices(row)) for row in picks]
-        return picks, np.array(fitness)
+        return picks, np.array([mean_abs_smd(row) for row in picks])
 
     genomes = np.exp(rng.normal(0.0, 0.5, size=(population, d)))
     genomes[0] = 1.0  # identity-metric candidate
@@ -420,10 +415,11 @@ def two_sample_t_test(values, z, weights=None) -> float:
     treated, control = _split_groups(z)
     if len(treated) < 2 or len(control) < 2:
         raise ValueError("each group needs at least two observations")
-    weights = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=float)
-
-    (mt, vt, nt) = _weighted_mean_var(values[treated], weights[treated])
-    (mc, vc, nc) = _weighted_mean_var(values[control], weights[control])
+    weights = None if weights is None else np.asarray(weights, dtype=float)
+    (mt, vt, nt), (mc, vc, nc) = (
+        _arm_stats(values[idx], None if weights is None else weights[idx])
+        for idx in (treated, control)
+    )
     se2 = vt / nt + vc / nc
     if se2 <= 0:
         raise ValueError("zero variance in both groups")
@@ -434,9 +430,9 @@ def two_sample_t_test(values, z, weights=None) -> float:
     return float(2.0 * stdtr(df, -abs(t_stat)))
 
 
-def _contingency_table(categories, z, weights):
-    """Category-by-arm weight totals (empty categories dropped) and the
-    counts expected under independence."""
+def _pearson(categories, z, weights) -> tuple[float, int]:
+    """Pearson's statistic on the category-by-arm table of weight totals
+    (empty categories dropped) and its degrees of freedom, k - 1."""
     categories = np.asarray(categories)
     z = np.asarray(z, dtype=float)
     weights = np.ones(len(z)) if weights is None else np.asarray(weights, dtype=float)
@@ -446,25 +442,23 @@ def _contingency_table(categories, z, weights):
         for g, arm in enumerate((0.0, 1.0)):
             table[i, g] = weights[(categories == level) & (z == arm)].sum()
     table = table[table.sum(axis=1) > 0]
+    if len(table) < 2:
+        raise ValueError("need at least two non-empty categories")
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    return table, expected
+    if np.any(expected <= 0):
+        raise ValueError("expected counts must be positive")
+    return float(np.sum((table - expected) ** 2 / expected)), len(table) - 1
 
 
 def chi_square_test(categories, z, weights=None) -> float:
-    """Pearson chi-square on the category-by-arm table, df = k - 1."""
-    table, expected = _contingency_table(categories, z, weights)
-    if len(table) < 2:
-        raise ValueError("need at least two non-empty categories")
-    if np.any(expected <= 0):
-        raise ValueError("expected counts must be positive")
-    stat = float(np.sum((table - expected) ** 2 / expected))
-    return float(chdtrc(len(table) - 1, stat))
+    """Pearson chi-square p-value on the category-by-arm table, df = k - 1."""
+    statistic, df = _pearson(categories, z, weights)
+    return float(chdtrc(df, statistic))
 
 
 def chi_square_statistic(categories, z, weights=None) -> float:
-    """The raw Pearson statistic (exposed for fixture checks)."""
-    table, expected = _contingency_table(categories, z, weights)
-    return float(np.sum((table - expected) ** 2 / expected))
+    """The raw Pearson statistic behind `chi_square_test`."""
+    return _pearson(categories, z, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -474,32 +468,21 @@ def chi_square_statistic(categories, z, weights=None) -> float:
 
 @dataclass(frozen=True)
 class BalanceRow:
+    """One covariate's balance; the after-values are None for an empty match."""
+
     covariate: str
     smd_before: float
-    smd_after: float
+    smd_after: float | None
     test: str
     p_before: float
-    p_after: float
+    p_after: float | None
 
 
 @dataclass(frozen=True)
 class BalanceReport:
     rows: tuple[BalanceRow, ...]
     mean_abs_smd_before: float
-    mean_abs_smd_after: float
-
-    def as_records(self) -> list[dict]:
-        return [
-            {
-                "covariate": r.covariate,
-                "smd_before": r.smd_before,
-                "smd_after": r.smd_after,
-                "test": r.test,
-                "p_before": r.p_before,
-                "p_after": r.p_after,
-            }
-            for r in self.rows
-        ]
+    mean_abs_smd_after: float | None
 
 
 def balance_report(
@@ -512,45 +495,36 @@ def balance_report(
 
     Matching adjustments evaluate the matched subset with unit weights;
     weighting adjustments reuse the full sample with the scheme's weights.
-    Continuous covariates get Welch's t-test, binary and ordinal ones the
-    chi-square test.
+    A match without pairs leaves every after-value None.  Continuous
+    covariates get Welch's t-test, binary and ordinal ones the chi-square
+    test.
     """
     z = cohort.z
     if isinstance(adjustment, WeightVector):
         if len(adjustment.weights) != cohort.n:
             raise ValueError("weight vector length does not match the cohort")
-        after_args = dict(indices=np.arange(cohort.n), weights=adjustment.weights)
+        idx, weights = np.arange(cohort.n), adjustment.weights
     elif isinstance(adjustment, MatchSet):
-        idx = adjustment.matched_indices()
+        idx, weights = adjustment.matched_indices(), None
         if len(idx) and idx.max() >= cohort.n:
             raise ValueError("match indices exceed the cohort")
-        after_args = dict(indices=idx, weights=None)
     else:
         raise TypeError("adjustment must be a MatchSet or WeightVector")
 
     rows = []
     for name in covariates:
-        spec = cohort.schema.variable(name)
+        continuous = cohort.schema.variable(name).kind == "continuous"
+        test = two_sample_t_test if continuous else chi_square_test
         values = cohort.columns[name]
-        test = "t-test" if spec.kind == "continuous" else "chisq"
-        before_smd = smd(values, z)
-        before_p = (
-            two_sample_t_test(values, z)
-            if test == "t-test"
-            else chi_square_test(values, z)
-        )
-        idx = after_args["indices"]
-        w = after_args["weights"]
-        sub_vals, sub_z = values[idx], z[idx]
-        sub_w = None if w is None else w[idx]
-        after_smd = smd(sub_vals, sub_z, sub_w)
-        after_p = (
-            two_sample_t_test(sub_vals, sub_z, sub_w)
-            if test == "t-test"
-            else chi_square_test(sub_vals, sub_z, sub_w)
-        )
-        rows.append(BalanceRow(name, before_smd, after_smd, test, before_p, after_p))
+        smd_before, p_before = smd(values, z), test(values, z)
+        smd_after = p_after = None
+        if len(idx):
+            sub_vals, sub_z = values[idx], z[idx]
+            sub_w = None if weights is None else weights[idx]
+            smd_after, p_after = smd(sub_vals, sub_z, sub_w), test(sub_vals, sub_z, sub_w)
+        label = "t-test" if continuous else "chisq"
+        rows.append(BalanceRow(name, smd_before, smd_after, label, p_before, p_after))
 
     mean_before = float(np.mean([abs(r.smd_before) for r in rows]))
-    mean_after = float(np.mean([abs(r.smd_after) for r in rows]))
+    mean_after = float(np.mean([abs(r.smd_after) for r in rows])) if len(idx) else None
     return BalanceReport(tuple(rows), mean_before, mean_after)

@@ -165,16 +165,50 @@ def _read_rows(path, columns):
             yield line, values
 
 
-def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse scores.csv back into (z, propensity) arrays; a propensity that
+def _read_by_subject(path, columns, n, noun, stage):
+    """Read a per-subject CSV with a `subject` column and the float `columns`,
+    placing each row by its subject, so the row order does not matter.
+    Every subject in [0, n) must have exactly one row, n defaulting to the
+    number of rows; otherwise a ValueError names the offending row, or the
+    first subject without one and the `stage` that writes the file.  Returns
+    the file row of each subject and one array per column."""
+    rows = list(_read_rows(path, {"subject": int, **columns}))
+    n = len(rows) if n is None else n
+    lines = np.zeros(n, dtype=int)  # 0 until the subject's row is read
+    for line, (subject, *_) in rows:
+        if not 0 <= subject < n:
+            raise ValueError(
+                f"{path}: row {line}: subject {subject} is outside the cohort [0, {n})"
+            )
+        if lines[subject]:
+            raise ValueError(f"{path}: row {line}: subject {subject} appears in an earlier row")
+        lines[subject] = line
+    if len(rows) < n:
+        missing = int(np.argmin(lines))
+        raise ValueError(
+            f"{path}: holds {len(rows)} {noun} for {n} subjects, none for subject "
+            f"{missing}; re-run `qcausal {stage}`"
+        )
+    values = np.empty((len(columns), n))
+    if rows:
+        values[:, [subject for _, (subject, *_) in rows]] = np.transpose(
+            [cells for _, (_, *cells) in rows]
+        )
+    return lines, *values
+
+
+def read_scores(path, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Parse scores.csv into per-subject (z, propensity) arrays, placed by
+    the `subject` column as `read_weights` places weights; a propensity that
     is not a finite number is a ValueError naming its row."""
-    z, ps = [], []
-    for line, (group, score) in _read_rows(path, {"z": float, "propensity": float}):
-        if not math.isfinite(score):
-            raise ValueError(f"{path}: row {line}: propensity is not finite: {score!r}")
-        z.append(group)
-        ps.append(score)
-    return np.asarray(z), np.asarray(ps)
+    lines, z, ps = _read_by_subject(path, {"z": float, "propensity": float}, n, "scores", "fit-ps")
+    bad = np.flatnonzero(~np.isfinite(ps))
+    if len(bad):
+        subject = bad[0]
+        raise ValueError(
+            f"{path}: row {lines[subject]}: propensity is not finite: {float(ps[subject])!r}"
+        )
+    return z, ps
 
 
 def read_pairs(path) -> list[tuple[int, int]]:
@@ -186,25 +220,7 @@ def read_weights(path, n: int | None = None) -> np.ndarray:
     column, so the row order does not matter.  Every subject in [0, n) must
     have exactly one row, n defaulting to the number of rows; otherwise a
     ValueError names the offending row, or the first subject without one."""
-    rows = list(_read_rows(path, {"subject": int, "weight": float}))
-    n = len(rows) if n is None else n
-    weights = np.empty(n)
-    seen = np.zeros(n, dtype=bool)
-    for line, (subject, weight) in rows:
-        if not 0 <= subject < n:
-            raise ValueError(
-                f"{path}: row {line}: subject {subject} is outside the cohort [0, {n})"
-            )
-        if seen[subject]:
-            raise ValueError(f"{path}: row {line}: subject {subject} appears in an earlier row")
-        seen[subject] = True
-        weights[subject] = weight
-    if len(rows) < n:
-        missing = int(np.argmin(seen))
-        raise ValueError(
-            f"{path}: holds {len(rows)} weights for {n} subjects, none for subject "
-            f"{missing}; re-run `qcausal adjust`"
-        )
+    _, weights = _read_by_subject(path, {"weight": float}, n, "weights", "adjust")
     return weights
 
 
@@ -438,10 +454,16 @@ def cmd_adjust(config: RunConfig) -> int:
     scores_path = out_dir / "scores.csv"
     if not scores_path.exists():
         raise FileNotFoundError("scores.csv not found; run `qcausal fit-ps` first")
-    _, ps = read_scores(scores_path)
+    z, ps = read_scores(scores_path, cohort.n)
+    mismatch = np.flatnonzero(z != cohort.z)
+    if len(mismatch):
+        subject = mismatch[0]
+        raise ValueError(
+            f"{scores_path}: subject {subject} has z={float(z[subject])!r} but cohort.csv "
+            f"has z={float(cohort.z[subject])!r}; re-run `qcausal fit-ps`"
+        )
 
     adjustment = _compute_adjustment(config, cohort, ps)
-    balance_covs = list(SURVIVAL_COVARIATES)
     record = _adjustment_record(adjustment, cohort.z)
 
     # one adjustment file per directory: survival reads whichever exists and
@@ -458,47 +480,11 @@ def cmd_adjust(config: RunConfig) -> int:
         (out_dir / "weights.csv").unlink(missing_ok=True)
         _write_csv(out_dir / "pairs.csv", ["treated", "control"], list(adjustment.pairs))
 
-    if isinstance(adjustment, adj.MatchSet) and not adjustment.pairs:
-        rows = []
-        for name in balance_covs:
-            spec = cohort.schema.variable(name)
-            test = "t-test" if spec.kind == "continuous" else "chisq"
-            values = cohort.columns[name]
-            p_before = (
-                adj.two_sample_t_test(values, cohort.z)
-                if test == "t-test"
-                else adj.chi_square_test(values, cohort.z)
-            )
-            rows.append(
-                {
-                    "covariate": name,
-                    "smd_before": adj.smd(values, cohort.z),
-                    "smd_after": None,
-                    "test": test,
-                    "p_before": p_before,
-                    "p_after": None,
-                }
-            )
-        mean_before = float(np.mean([abs(r["smd_before"]) for r in rows]))
-        _write_balance(
-            out_dir,
-            {"rows": rows, "mean_abs_smd_before": mean_before, "mean_abs_smd_after": None, **record},
-            config.adjust,
-        )
+    report = adj.balance_report(cohort, ps, adjustment, SURVIVAL_COVARIATES)
+    _write_balance(out_dir, {**asdict(report), **record}, config.adjust)
+    if report.mean_abs_smd_after is None:
         print("qcausal adjust: empty match set; reports written", file=sys.stderr)
         return EXIT_EMPTY_MATCH
-
-    report = adj.balance_report(cohort, ps, adjustment, balance_covs)
-    _write_balance(
-        out_dir,
-        {
-            "rows": report.as_records(),
-            "mean_abs_smd_before": report.mean_abs_smd_before,
-            "mean_abs_smd_after": report.mean_abs_smd_after,
-            **record,
-        },
-        config.adjust,
-    )
     return EXIT_OK
 
 

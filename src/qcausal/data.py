@@ -295,12 +295,8 @@ class AngleEncoder:
         return math.pi * (matrix - self.mins) / spans
 
 
-def encode_features(
-    cohort: Cohort, features: Sequence[str], method: str = "minmax"
-) -> tuple[np.ndarray, AngleEncoder]:
-    """Encode named covariates to rotation angles; binary maps onto {0, pi}."""
-    if method != "minmax":
-        raise ValueError(f"unknown encoding method {method!r}")
+def encode_features(cohort: Cohort, features: Sequence[str]) -> tuple[np.ndarray, AngleEncoder]:
+    """Min-max encode named covariates to rotation angles; binary maps onto {0, pi}."""
     for name in features:
         cohort.schema.variable(name)  # raises on unknown names
     matrix = cohort.matrix(features)

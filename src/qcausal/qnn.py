@@ -244,7 +244,7 @@ def gradient_parameter_shift(params: QnnParams, x, config: QnnConfig) -> np.ndar
         params = replace(params, circuit_angles=params.circuit_angles + shifts)
     states = _states(params, np.repeat(np.asarray(x, dtype=float)[None], 1 + 2 * m, axis=0), config)
     f = states.expectation(params.observable())
-    return np.concatenate([[1.0], states.bloch()[0].ravel(), (f[1 : 1 + m] - f[1 + m :]) / 2.0])
+    return np.concatenate([[1.0], states.bloch[0].ravel(), (f[1 : 1 + m] - f[1 + m :]) / 2.0])
 
 
 @dataclass(frozen=True)

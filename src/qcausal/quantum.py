@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -242,11 +242,15 @@ class ProductStates:
     amplitudes: np.ndarray
     gate_counts: np.ndarray
 
+    @cached_property
     def bloch(self) -> np.ndarray:
-        """Bloch vectors (<X>, <Y>, <Z>) per row and qubit: (rows, n_qubits, 3)."""
+        """Bloch vectors (<X>, <Y>, <Z>) per row and qubit: (rows, n_qubits, 3),
+        computed on first use and read-only."""
         a0, a1 = self.amplitudes[..., 0], self.amplitudes[..., 1]
         cross = 2.0 * np.conj(a0) * a1
-        return np.stack([cross.real, cross.imag, np.abs(a0) ** 2 - np.abs(a1) ** 2], axis=-1)
+        vectors = np.stack([cross.real, cross.imag, np.abs(a0) ** 2 - np.abs(a1) ** 2], axis=-1)
+        vectors.flags.writeable = False
+        return vectors
 
     def dense(self) -> np.ndarray:
         """The 2**n amplitudes of the first row; qubit 0 is the least significant bit."""
@@ -255,12 +259,12 @@ class ProductStates:
     def expectation(self, obs: PauliSumObservable) -> np.ndarray:
         """Exact <H> per row."""
         b = obs.coefficient_matrix(self.amplitudes.shape[1])
-        return obs.identity_coeff + np.einsum("rqp,qp->r", self.bloch(), b)
+        return obs.identity_coeff + np.einsum("rqp,qp->r", self.bloch, b)
 
     def variance(self, obs: PauliSumObservable) -> np.ndarray:
         """Exact Var(H) per row: qubits are independent and (b . sigma)^2 = |b|^2 I."""
         b = obs.coefficient_matrix(self.amplitudes.shape[1])
-        along = np.einsum("rqp,qp->rq", self.bloch(), b)
+        along = np.einsum("rqp,qp->rq", self.bloch, b)
         return np.maximum(np.sum(b * b) - np.sum(along * along, axis=1), 0.0)
 
     def sample(
@@ -277,7 +281,7 @@ class ProductStates:
         b = obs.coefficient_matrix(self.amplitudes.shape[1])
         qubits, axes = np.nonzero(b)
         shrink = (1.0 - 4.0 * noise.depolarizing_prob / 3.0) ** self.gate_counts[qubits]
-        p1 = np.clip((1.0 - shrink * self.bloch()[:, qubits, axes]) / 2.0, 0.0, 1.0)
+        p1 = np.clip((1.0 - shrink * self.bloch[:, qubits, axes]) / 2.0, 0.0, 1.0)
         flip = noise.readout_flip_prob
         ones = rng.binomial(shots, p1 * (1.0 - flip) + (1.0 - p1) * flip)
         return obs.identity_coeff + (1.0 - 2.0 * ones / shots) @ b[qubits, axes]

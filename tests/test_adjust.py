@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcausal.adjust import (
     BalanceReport,
     MatchSet,
+    WeightVector,
     balance_report,
     chi_square_statistic,
     chi_square_test,
@@ -67,6 +68,12 @@ class TestSmd:
         pt, pc = 2 / 3, 1 / 3
         expected = (pt - pc) / math.sqrt((pt * (1 - pt) + pc * (1 - pc)) / 2)
         assert smd(values, z) == pytest.approx(expected, abs=1e-12)
+
+    def test_unit_weights_agree_with_unweighted(self):
+        rng = np.random.default_rng(3)
+        for values in (rng.normal(0, 1, 50), rng.integers(0, 2, 50).astype(float)):
+            z = (rng.random(50) < 0.4).astype(float)
+            assert smd(values, z, np.ones(50)) == pytest.approx(smd(values, z), abs=1e-12)
 
     def test_degenerate_covariate_rejected(self):
         values = np.array([1.0, 1.0, 2.0, 2.0])
@@ -226,8 +233,32 @@ class TestGenetic:
         with pytest.raises(ValueError):
             genetic_match(X, z, ps, population=3)
 
+    def test_fitness_equals_oracle_on_tie_heavy_instances(self):
+        """genetic_match scores a match by the mean |SMD| of the matched arms
+        in pair order, bit for bit the oracle's."""
+        import oracles
+        from test_greedy_core import SEEDS, tie_heavy_instance
+
+        from qcausal.adjust import _is_binary, _smd
+
+        for seed in SEEDS:
+            X, z, ps = tie_heavy_instance(seed)
+            binary = [_is_binary(col) for col in X.T]
+            features = oracles._standardize(np.column_stack([X, ps]))
+            genomes = np.exp(np.random.default_rng(seed).normal(0.0, 0.5, size=(4, 4)))
+            for genome in genomes:
+                for multiplier in (0.25, 0.05):
+                    caliper = score_caliper(ps, multiplier)
+                    match = oracles._metric_match(features, ps, z, genome, caliper)
+                    expected = oracles._mean_abs_smd(X, z, match)
+                    if not match.pairs:
+                        assert expected == math.inf
+                        continue
+                    t_idx, c_idx = np.array(match.pairs).T
+                    assert np.mean(np.abs(_smd(X.T, binary, t_idx, c_idx))) == expected, seed
+
     def test_larger_population_usually_at_least_as_fit(self):
-        from qcausal.adjust import _mean_abs_smd
+        from oracles import _mean_abs_smd
 
         wins = 0
         runs = 20
@@ -341,6 +372,18 @@ class TestBalanceReport:
         weights = compute_weights(ps, cohort.z, "ate")
         report = balance_report(cohort, ps, weights, self.COVARIATES)
         assert report.mean_abs_smd_after < 0.05
+
+    def test_empty_match_leaves_after_values_none(self):
+        cohort = generate_synthetic_cohort(SynthConfig(n=200, seed=9))
+        report = balance_report(cohort, None, MatchSet((), (0, 1), 0.0), self.COVARIATES)
+        unit = balance_report(
+            cohort, None, WeightVector(np.ones(cohort.n), "ate"), self.COVARIATES
+        )
+        assert report.mean_abs_smd_after is None
+        assert report.mean_abs_smd_before == unit.mean_abs_smd_before
+        for row, unit_row in zip(report.rows, unit.rows):
+            assert row.smd_after is None and row.p_after is None
+            assert (row.smd_before, row.p_before) == (unit_row.smd_before, unit_row.p_before)
 
     def test_test_names_follow_variable_kind(self):
         from qcausal.adjust import WeightVector

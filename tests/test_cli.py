@@ -210,6 +210,14 @@ class TestAdjust:
         assert (out / "balance.json").exists()
         payload = json.loads((out / "balance.json").read_text())
         assert payload["mean_abs_smd_after"] is None
+        assert all(r["smd_after"] is None and r["p_after"] is None for r in payload["rows"])
+        # the before-half is the one any adjustment of these scores reports
+        assert run("adjust", "--out-dir", str(out), "--adjust", "mw") == EXIT_OK
+        weighted = json.loads((out / "balance.json").read_text())
+        assert weighted["mean_abs_smd_before"] == payload["mean_abs_smd_before"]
+        before = ("covariate", "smd_before", "test", "p_before")
+        for row, other in zip(payload["rows"], weighted["rows"], strict=True):
+            assert {k: row[k] for k in before} == {k: other[k] for k in before}
 
     def test_genetic_small_run(self, tmp_path):
         out = prepared_dir(tmp_path, n=80, seed=1)
@@ -375,6 +383,56 @@ class TestWeightsBySubject:
         err = capsys.readouterr().err
         assert "weights.csv" in err and message in err
         assert not (out / "km_unadjusted_control.csv").exists()
+
+
+class TestScoresBySubject:
+    """adjust places each score by its `subject` column and checks its arm."""
+
+    def scored_dir(self, tmp_path):
+        out = prepared_dir(tmp_path, n=120, seed=1)
+        lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()
+        return out, lines[0], lines[1:]
+
+    def write(self, out, header, rows):
+        (out / "scores.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("adjust, written", [("nn", "pairs.csv"), ("mw", "weights.csv")])
+    def test_shuffled_rows_give_the_same_adjustment(self, tmp_path, adjust, written):
+        out, header, rows = self.scored_dir(tmp_path)
+        names = (written, "balance.csv", "balance.json")
+        assert run("adjust", "--out-dir", str(out), "--adjust", adjust) == EXIT_OK
+        before = {name: (out / name).read_bytes() for name in names}
+        order = np.random.default_rng(0).permutation(len(rows))
+        self.write(out, header, [rows[i] for i in order])
+        assert run("adjust", "--out-dir", str(out), "--adjust", adjust) == EXIT_OK
+        for name, content in before.items():
+            assert (out / name).read_bytes() == content, name
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("arm", "subject 9 has z="),
+            ("duplicate", "row 11: subject 3 appears in an earlier row"),
+            ("outside", "row 11: subject 120 is outside the cohort [0, 120)"),
+            ("missing", "holds 119 scores for 120 subjects, none for subject 9"),
+        ],
+    )
+    def test_bad_subject_exits_1(self, tmp_path, capsys, edit, message):
+        out, header, rows = self.scored_dir(tmp_path)
+        subject, z, score = rows[9].split(",")  # file row 11
+        if edit == "missing":
+            del rows[9]
+        elif edit == "arm":
+            rows[9] = f"{subject},{1 - int(z)},{score}"
+        else:
+            other = {"duplicate": 3, "outside": 120}[edit]
+            rows[9] = f"{other},{z},{score}"
+        self.write(out, header, rows)
+        capsys.readouterr()
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "scores.csv" in err and message in err
+        assert not (out / "balance.json").exists()
 
 
 class TestMalformedCells:
