@@ -27,6 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .metrics import has_both_classes, is_binary
+
 SEPARATION_BOUND = 30.0
 RIDGE_FALLBACK = 1e-6
 
@@ -70,7 +72,8 @@ def _newton_logistic(design, y, tol, max_iter, ridge):
 
 
 def fit_logistic(X, y, max_iter: int = 100, tol: float = 1e-9) -> LogisticModel:
-    """Maximum-likelihood fit; converged when max |score| < tol.
+    """Maximum-likelihood fit on finite X and 0/1 labels y with both classes
+    present; converged when max |score| < tol.
 
     Separation (any |beta_j| above 30) triggers a ridge-penalized refit with
     penalty 1e-6 and sets the separation flag; coefficients are then capped at
@@ -80,7 +83,11 @@ def fit_logistic(X, y, max_iter: int = 100, tol: float = 1e-9) -> LogisticModel:
     y = np.asarray(y, dtype=float)
     if len(y) != len(design):
         raise ValueError("X and y must have equal row counts")
-    if len(y) < 2 or len(np.unique(y)) < 2:
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(y))):
+        raise ValueError("X and y must be finite")
+    if not is_binary(y):
+        raise ValueError("labels must be 0 or 1")
+    if not has_both_classes(y):
         raise ValueError("need at least two rows with both classes present")
 
     beta, converged, n_iter = _newton_logistic(design, y, tol, max_iter, ridge=0.0)
@@ -242,9 +249,9 @@ def fit_gbm(X, y, n_trees: int = 100, depth: int = 3, learning_rate: float = 0.1
         raise ValueError("X must be 2-d with one label per row")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("X and y must be finite")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not is_binary(y):
         raise ValueError("labels must be 0 or 1")
-    if not 0.0 < y.sum() < len(y):
+    if not has_both_classes(y):
         raise ValueError("both classes must be present")
 
     ybar = y.mean()

@@ -200,13 +200,15 @@ def _read_by_subject(path, columns, n, noun, stage):
 def read_scores(path, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse scores.csv into per-subject (z, propensity) arrays, placed by
     the `subject` column as `read_weights` places weights; a propensity that
-    is not a finite number is a ValueError naming its row."""
+    is not a finite number strictly inside (0, 1), as `fit-ps` writes it, is
+    a ValueError naming its row."""
     lines, z, ps = _read_by_subject(path, {"z": float, "propensity": float}, n, "scores", "fit-ps")
-    bad = np.flatnonzero(~np.isfinite(ps))
+    bad = np.flatnonzero(~((ps > 0.0) & (ps < 1.0)))
     if len(bad):
         subject = bad[0]
+        problem = "is not finite" if not math.isfinite(ps[subject]) else "lies outside (0, 1)"
         raise ValueError(
-            f"{path}: row {lines[subject]}: propensity is not finite: {float(ps[subject])!r}"
+            f"{path}: row {lines[subject]}: propensity {problem}: {float(ps[subject])!r}"
         )
     return z, ps
 

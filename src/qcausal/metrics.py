@@ -27,9 +27,23 @@ class RocCurve:
             raise ValueError("ROC coordinates must be nondecreasing")
 
 
+def is_binary(values) -> bool:
+    """Whether every entry is 0 or 1.  The test is elementwise on purpose: a
+    plain np.unique imports numpy.ma on its first call, which a stage would
+    pay for.  Every 0/1 check in the package goes through here."""
+    values = np.asarray(values)
+    return bool(np.all((values == 0.0) | (values == 1.0)))
+
+
+def has_both_classes(values) -> bool:
+    """Whether `values` is 0/1 with at least one of each."""
+    values = np.asarray(values)
+    return is_binary(values) and 0.0 < values.sum() < len(values)
+
+
 def _binary_labels(labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=float)
-    if not set(np.unique(labels)) <= {0.0, 1.0}:
+    if not is_binary(labels):
         raise ValueError("labels must be 0/1")
     return labels
 

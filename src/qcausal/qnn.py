@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cmaes
+from .metrics import has_both_classes
 from .quantum import AXES, NoiseModel, PauliSumObservable, ProductStates, encode
 
 # The single-circuit API, bound here as well: perfbench/child.py wraps these
@@ -280,8 +281,7 @@ def fit(
         raise ValueError("need at least two training rows")
     if w is None:
         w = np.ones(len(X))
-    classes = set(np.unique(y))
-    if not classes == {0.0, 1.0}:
+    if not has_both_classes(y):
         raise ValueError("labels must contain both classes 0 and 1")
     X, y, w = _check_training_arrays(X, y, w)
 

@@ -239,11 +239,12 @@ class TestGenetic:
         import oracles
         from test_greedy_core import SEEDS, tie_heavy_instance
 
-        from qcausal.adjust import _is_binary, _smd
+        from qcausal.adjust import _smd
+        from qcausal.metrics import is_binary
 
         for seed in SEEDS:
             X, z, ps = tie_heavy_instance(seed)
-            binary = [_is_binary(col) for col in X.T]
+            binary = [is_binary(col) for col in X.T]
             features = oracles._standardize(np.column_stack([X, ps]))
             genomes = np.exp(np.random.default_rng(seed).normal(0.0, 0.5, size=(4, 4)))
             for genome in genomes:

@@ -100,6 +100,28 @@ class TestLogistic:
         with pytest.raises(ValueError):
             fit_logistic([[1.0], [2.0]], [1.0, 1.0])
 
+    def test_single_class_of_many_rows_rejected(self):
+        with pytest.raises(ValueError, match="both classes"):
+            fit_logistic(np.arange(6.0)[:, None], np.zeros(6))
+
+    @pytest.mark.parametrize("labels", [[0.0, 2.0, 0.0, 2.0], [0.0, 1.0, 0.5, 1.0], [-1.0, 1.0, -1.0, 1.0]])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        # {0, 2} used to fit with capped coefficients and the separation flag
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit_logistic([[0.3], [0.1], [0.7], [0.2]], labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.array([[0.3], [0.1], [0.7], [0.2]])
+        X[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_logistic(X, [0.0, 1.0, 0.0, 1.0])
+
+    def test_non_finite_label_rejected(self):
+        # a NaN label used to return NaN coefficients after max_iter iterations
+        with pytest.raises(ValueError, match="finite"):
+            fit_logistic([[0.3], [0.1], [0.7], [0.2]], [0.0, 1.0, np.nan, 1.0])
+
 
 class TestPredictLogistic:
     def test_zero_coefficients_give_half(self):

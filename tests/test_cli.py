@@ -707,6 +707,20 @@ class TestBalanceRecord:
         assert "row 5: propensity is not finite" in capsys.readouterr().err
         assert not (out / "balance.json").exists()
 
+    @pytest.mark.parametrize("adjust", ["nn", "optimal", "genetic100", "mw"])
+    @pytest.mark.parametrize("score", ["1.5", "0", "1", "-0.2", "1e308"])
+    def test_score_outside_unit_interval_exits_without_balance(self, tmp_path, capsys, adjust, score):
+        # fit-ps clips every score inside (0, 1); nn, optimal and genetic
+        # matching used to match on 1.5 with exit 0
+        out = prepared_dir(tmp_path, n=120, seed=2)
+        lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()
+        subject, z, _ = lines[6].split(",")
+        lines[6] = f"{subject},{z},{score}"
+        (out / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("adjust", "--out-dir", str(out), "--adjust", adjust) == EXIT_FAILURE
+        assert "row 7: propensity lies outside (0, 1)" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
+
     def test_weights_record_effective_sample_size(self, tmp_path):
         out = prepared_dir(tmp_path, n=300, seed=2)
         assert run("adjust", "--out-dir", str(out), "--adjust", "ate") == EXIT_OK

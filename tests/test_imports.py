@@ -1,9 +1,11 @@
-"""The import path of a stage process, and the tail probabilities that keep it light.
+"""The import path of a stage process.
 
-A `qcausal` stage loads numpy and scipy.special only; scipy.stats is never
-imported by the package, and scipy.optimize only by the first
-`optimal_match` call.  The scipy.special functions used in its place must
-equal the scipy.stats survival functions bit for bit.
+A `qcausal` stage loads numpy alone: no scipy module is imported by the
+package, except scipy.optimize by the first `optimal_match` call, and the
+timed stages import nothing that set-up has not loaded.  The scipy.special
+functions that the package once used for its tail probabilities equal the
+scipy.stats survival functions bit for bit; `tests/test_tails.py` checks the
+package's own tails against the same references.
 """
 
 import json
@@ -40,9 +42,7 @@ def loaded_after(code):
 
 def test_stage_modules_skip_stats_and_optimize():
     modules, _ = loaded_after("import qcausal.cli, qcausal.survival")
-    assert "scipy.special" in modules
-    assert "scipy.stats" not in modules
-    assert "scipy.optimize" not in modules
+    assert not modules  # no scipy at all: the tail probabilities come from qcausal._tails
 
 
 def test_stage_modules_skip_scipy_linear_algebra():
@@ -50,6 +50,35 @@ def test_stage_modules_skip_scipy_linear_algebra():
     modules, _ = loaded_after("import qcausal.cli, qcausal.survival")
     assert "scipy.linalg" not in modules
     assert "scipy.sparse" not in modules
+
+
+# (fit-ps model, adjustment) pairs that cover every propensity model family
+# and the greedy, weighting and genetic adjustments
+STAGE_RUNS = (("lr", "nn"), ("gbm", "mw"), ("qnn_exact", "genetic100"), ("qnn_f_backend", "nn"))
+
+
+def test_timed_stages_import_nothing_after_gen(tmp_path):
+    # set-up is `import qcausal.cli, qcausal.survival` plus `gen`; any module a
+    # timed stage loads on first use (numpy.ma from a plain np.unique, say)
+    # would move its import cost into the stages
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("max_evaluations=13\nshots=16\ngenetic_generations=1\n", encoding="utf-8")
+    _, printed = loaded_after(
+        "import qcausal.cli, qcausal.survival\n"
+        "from qcausal.cli import main\n"
+        f"root, cfg = {str(tmp_path)!r}, {str(cfg)!r}\n"
+        f"runs = {STAGE_RUNS!r}\n"
+        "for model, adjust in runs:\n"
+        "    assert main(['gen', '--out-dir', f'{root}/{model}', '--n', '80', '--seed', '3']) == 0\n"
+        "before = set(sys.modules)\n"
+        "for model, adjust in runs:\n"
+        "    common = ['--out-dir', f'{root}/{model}', '--seed', '3', '--config', cfg]\n"
+        "    assert main(['fit-ps', *common, '--model', model]) == 0\n"
+        "    assert main(['adjust', *common, '--adjust', adjust]) == 0\n"
+        "    assert main(['survival', *common[:4], '--adjust', adjust]) == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert json.loads(printed[-1]) == []
 
 
 def test_package_import_loads_no_submodule():
