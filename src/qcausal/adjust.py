@@ -2,11 +2,11 @@
 
 Matching is 1:1 without replacement.  Greedy nearest-neighbor processes
 treated subjects in descending score order (ties by index) under a caliper
-of caliper_multiplier * std(scores); optimal matching solves the same problem
-as a minimum-cost assignment where unmatched treated subjects fall back to
-dummy columns.  Genetic matching searches a positive diagonal metric over
-standardized covariates plus the score, scoring candidates by the mean
-absolute standardized mean difference after matching.
+of caliper_multiplier * std(scores); optimal matching minimizes the total
+score gap among the matches with the most pairs, by a dynamic program over
+both arms sorted by score.  Genetic matching searches a positive diagonal
+metric over standardized covariates plus the score, scoring candidates by
+the mean absolute standardized mean difference after matching.
 
 Both greedy matchers run on one core.  It builds the caliper window once per
 call: the (treated, control) pairs whose score gap is within the caliper,
@@ -25,8 +25,7 @@ covariates.
 Balance-test p-values come from the package's `_tails` module, Student's t
 tail for Welch's t and the chi-square tail with k - 1 degrees of freedom for
 Pearson's chi-square; they agree with scipy.stats' t.sf and chi2.sf to about
-1e-13 relative, and no scipy module is loaded.  scipy.optimize is imported
-only inside optimal_match, so other stages never load it.
+1e-13 relative.  The module needs numpy alone.
 
 Weighting schemes, with e = score and Z the arm indicator:
 
@@ -263,37 +262,56 @@ def nearest_neighbor_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
 
 
 def optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
-    """Minimum total |score difference| 1:1 assignment under the caliper.
+    """Minimum total |score difference| 1:1 matching under the caliper.
 
-    Solved exactly as a rectangular assignment problem.  Each treated subject
-    also sees a private dummy column priced above any full real assignment,
-    so infeasible subjects are left unmatched rather than forced out of
-    caliper.
+    A treated subject pairs with a control inside the caliper or stays
+    unmatched at a cost of caliper * nt + 1, above any full set of pairs, so
+    the match has the most pairs, then the least total gap.  On a line some
+    optimum never crosses two pairs (Karp & Li, 1975), so a dynamic program
+    over both arms, stably sorted by score, is exact.  Ties go, walking back
+    from the highest-scored treated subject, to pairing it rather than
+    leaving it unmatched, and to the lowest-scored control that keeps the
+    total optimal; among equal-cost optima this need not be the match an
+    assignment solver returns.  Non-finite scores raise ValueError.
     """
-    from scipy.optimize import linear_sum_assignment  # here, so no other stage loads it
-
     ps = np.asarray(ps, dtype=float)
+    if not np.isfinite(ps).all():
+        raise ValueError("optimal matching needs finite scores")
     treated, control = _split_groups(z)
     caliper = score_caliper(ps, caliper_multiplier)
+    if not math.isfinite(caliper):
+        raise ValueError("optimal matching needs a finite caliper")
     nt, nc = len(treated), len(control)
+    treated = treated[np.argsort(ps[treated], kind="stable")]
+    control = control[np.argsort(ps[control], kind="stable")]
+    ps_c = ps[control]
+    dummy = caliper * nt + 1.0
+    # per treated subject and column: did the column set a new row minimum,
+    # and did it do so by pairing with the j-th control
+    improves = np.ones((nt, nc + 1), dtype=bool)
+    paired = np.zeros((nt, nc + 1), dtype=bool)
+    f = np.zeros(nc + 1)
+    for i, score in enumerate(ps[treated]):
+        gap = np.abs(score - ps_c)
+        pair = f[:-1] + np.where(gap <= caliper, gap, np.inf)
+        g = f + dummy
+        paired[i, 1:] = pair <= g[1:]
+        np.minimum(g[1:], pair, out=g[1:])
+        f = np.minimum.accumulate(g)
+        improves[i, 1:] = g[1:] < f[:-1]
 
-    real = np.abs(ps[treated][:, None] - ps[control][None, :])
-    dummy_cost = caliper * nt + 1.0
-    forbid = 2.0 * dummy_cost + 1.0
-    cost = np.full((nt, nc + nt), forbid)
-    cost[:, :nc] = np.where(real <= caliper, real, forbid)
-    cost[:, nc:] = np.where(np.eye(nt, dtype=bool), dummy_cost, forbid)
-
-    rows, cols = linear_sum_assignment(cost)
-    pairs = []
-    unmatched = []
-    for r, c in zip(rows, cols):
-        if c < nc and real[r, c] <= caliper:
-            pairs.append((int(treated[r]), int(control[c])))
+    pairs, unmatched = [], []
+    i, j = nt, nc
+    while i:
+        if not improves[i - 1, j]:
+            j -= 1
+        elif paired[i - 1, j]:
+            i, j = i - 1, j - 1
+            pairs.append((int(treated[i]), int(control[j])))
         else:
-            unmatched.append(int(treated[r]))
-    pairs.sort()
-    return MatchSet(tuple(pairs), tuple(sorted(unmatched)), caliper)
+            i -= 1
+            unmatched.append(int(treated[i]))
+    return MatchSet(tuple(sorted(pairs)), tuple(sorted(unmatched)), caliper)
 
 
 def _standardize(matrix):
@@ -325,6 +343,8 @@ def genetic_match(
         raise ValueError("covariates must be a non-empty 2-d matrix")
     if population < 4:
         raise ValueError("population must be >= 4")
+    if generations < 0:
+        raise ValueError("generations must be >= 0")
     ps = np.asarray(ps, dtype=float)
     rng = np.random.default_rng(seed)
     features = _standardize(np.column_stack([covariates, ps]))

@@ -97,6 +97,10 @@ def _stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence((seed, stage)).generate_state(1)[0])
 
 
+# the spellings a boolean config value may take, in any case
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def apply_config_file(config: RunConfig, path: str) -> RunConfig:
     """Override config fields from `key=value` lines; `#` starts a comment."""
     types = {f.name: f.type for f in fields(RunConfig)}
@@ -116,7 +120,11 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
             elif kind in ("float", float):
                 parsed = float(value)
             elif kind in ("bool", bool):
-                parsed = value.lower() in ("1", "true", "yes")
+                parsed = BOOLEANS.get(value.lower())
+                if parsed is None:
+                    raise ValueError(
+                        f"config line {lineno}: {key} must be one of {'/'.join(BOOLEANS)}, got {value!r}"
+                    )
             else:
                 parsed = value
             setattr(config, key, parsed)
@@ -411,7 +419,7 @@ def _compute_adjustment(config: RunConfig, cohort: data.Cohort, ps: np.ndarray):
 
 def _write_balance(out_dir: Path, report, method: str) -> None:
     def cell(value):
-        return "" if value is None or (isinstance(value, float) and math.isnan(value)) else repr(value)
+        return "" if value is None or math.isnan(value) else repr(float(value))
 
     _write_csv(
         out_dir / "balance.csv",

@@ -335,8 +335,11 @@ class SynthConfig:
             raise ValueError("n must be >= 20")
         if not 0.0 <= self.censoring_target < 1.0:
             raise ValueError("censoring_target must lie in [0, 1)")
-        if self.baseline_hazard <= 0:
-            raise ValueError("baseline_hazard must be positive")
+        for name in ("stage_to_treatment", "sex_to_treatment", "treatment_effect"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not 0 < self.baseline_hazard < math.inf:
+            raise ValueError("baseline_hazard must be finite and positive")
 
 
 def _censor_scale(event_times: np.ndarray, target: float) -> float:

@@ -78,8 +78,8 @@ class QnnConfig:
             raise ValueError("n_qubits must be positive")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         if not 0.0 < self.clip_epsilon < 0.5:
             raise ValueError("clip_epsilon must lie in (0, 0.5)")
 

@@ -5,7 +5,9 @@ compose them explicitly, so agreement with the package is a genuine
 cross-check.  The gate-sequence harness runs an explicit gate list through
 the package's product-state core, so the dense oracles can be compared on any
 gate order.  The matching oracles are the earlier one-genome-at-a-time
-greedy matchers on full treated x control distance matrices.  The boosted-tree
+greedy matchers on full treated x control distance matrices, and the earlier
+optimal matcher, which hands scipy's assignment solver a dense cost matrix
+with sentinel prices.  The boosted-tree
 oracles are the earlier per-node argsort, scalar split scan and row-by-row tree
 walk.  The survival oracles are the earlier estimators that rebuilt the at-risk
 set once per event time, and Harrell's C that compared every event with every
@@ -319,6 +321,46 @@ def genetic_match(
 
     best = genomes[int(np.argmin(fitness))]
     return _metric_match(features, ps, z, best, caliper)
+
+
+# ---------------------------------------------------------------------------
+# optimal-matching reference: the dense sentinel-priced assignment problem
+# that the sorted dynamic program replaced, verbatim
+# ---------------------------------------------------------------------------
+
+
+def assignment_optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
+    """Minimum total |score difference| 1:1 assignment under the caliper.
+
+    Solved exactly as a rectangular assignment problem.  Each treated subject
+    also sees a private dummy column priced above any full real assignment,
+    so infeasible subjects are left unmatched rather than forced out of
+    caliper.
+    """
+    from scipy.optimize import linear_sum_assignment  # here, so no other stage loads it
+
+    ps = np.asarray(ps, dtype=float)
+    treated, control = _split_groups(z)
+    caliper = score_caliper(ps, caliper_multiplier)
+    nt, nc = len(treated), len(control)
+
+    real = np.abs(ps[treated][:, None] - ps[control][None, :])
+    dummy_cost = caliper * nt + 1.0
+    forbid = 2.0 * dummy_cost + 1.0
+    cost = np.full((nt, nc + nt), forbid)
+    cost[:, :nc] = np.where(real <= caliper, real, forbid)
+    cost[:, nc:] = np.where(np.eye(nt, dtype=bool), dummy_cost, forbid)
+
+    rows, cols = linear_sum_assignment(cost)
+    pairs = []
+    unmatched = []
+    for r, c in zip(rows, cols):
+        if c < nc and real[r, c] <= caliper:
+            pairs.append((int(treated[r]), int(control[c])))
+        else:
+            unmatched.append(int(treated[r]))
+    pairs.sort()
+    return MatchSet(tuple(pairs), tuple(sorted(unmatched)), caliper)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,89 @@ class TestOptimal:
             assert abs(ps[t] - ps[c]) <= match.caliper + 1e-12
 
 
+def check_against_assignment(ps, z, multiplier):
+    """The dynamic program and the assignment solver it replaced agree on the
+    pair count and the total |gap|; the DP's pairs respect the caliper and
+    the arms and use no subject twice.  Equal-cost optima may differ."""
+    import oracles
+
+    match = optimal_match(ps, z, multiplier)
+    reference = oracles.assignment_optimal_match(ps, z, multiplier)
+    assert len(match.pairs) == len(reference.pairs)
+    assert match.caliper == reference.caliper
+    total = math.fsum(abs(ps[t] - ps[c]) for t, c in match.pairs)
+    expected = math.fsum(abs(ps[t] - ps[c]) for t, c in reference.pairs)
+    assert abs(total - expected) <= 1e-12 * expected
+    treated = [t for t, _ in match.pairs]
+    controls = [c for _, c in match.pairs]
+    assert all(z[t] == 1.0 for t in treated) and all(z[c] == 0.0 for c in controls)
+    assert all(abs(ps[t] - ps[c]) <= match.caliper for t, c in match.pairs)
+    assert len(set(treated + controls)) == 2 * len(match.pairs)
+    assert sorted(treated + list(match.unmatched_treated)) == np.flatnonzero(z == 1.0).tolist()
+    return match
+
+
+class TestOptimalAgainstAssignment:
+    @pytest.mark.parametrize("multiplier", [0.05, 0.25, 1.0, 100.0])
+    def test_seeded_cohorts(self, multiplier):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            nt, nc = (int(k) for k in rng.integers(1, 40, size=2))
+            ps = rng.uniform(0.02, 0.98, nt + nc)
+            if seed % 2:
+                ps = np.round(ps, 1 + seed % 3)  # tie-heavy: few distinct scores
+            z = rng.permutation(np.r_[np.ones(nt), np.zeros(nc)])
+            check_against_assignment(ps, z, multiplier)
+
+    @pytest.mark.parametrize("nt, nc", [(30, 8), (8, 30)])
+    def test_unbalanced_arms(self, nt, nc):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            ps = np.round(rng.uniform(0.3, 0.7, nt + nc), 2)
+            z = np.r_[np.ones(nt), np.zeros(nc)]
+            match = check_against_assignment(ps, z, 0.25)
+            if nt > nc:
+                assert match.unmatched_treated
+
+    def test_no_feasible_pair(self):
+        ps = np.array([0.9, 0.91, 0.92, 0.1, 0.11])
+        z = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        match = check_against_assignment(ps, z, 0.25)
+        assert match.pairs == () and match.unmatched_treated == (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        instance_strategy(min_each=1, max_n=40),
+        st.sampled_from([0.0, 0.05, 0.25, 1.0, 100.0]),
+    )
+    def test_hypothesis_instances(self, instance, multiplier):
+        ps, z = instance
+        check_against_assignment(ps, z, multiplier)
+
+    def test_tie_rule(self):
+        # Every pairing below is optimal.  Walking back from the highest-scored
+        # treated subject, pairing beats leaving a subject unmatched, and the
+        # lowest-scored control wins, the lower index among equal scores.
+        ps = np.array([0.5, 0.25, 0.75])
+        assert optimal_match(ps, [1, 0, 0], 100.0).pairs == ((0, 1),)
+        ps = np.array([0.5, 0.25, 0.25])
+        assert optimal_match(ps, [1, 0, 0], 100.0).pairs == ((0, 1),)
+        ps = np.array([0.25, 0.75, 0.5])
+        match = optimal_match(ps, [1, 1, 0], 100.0)
+        assert match.pairs == ((1, 2),) and match.unmatched_treated == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_raises(self, bad):
+        ps = np.array([0.2, 0.3, 0.25, bad])
+        with pytest.raises(ValueError, match="finite"):
+            optimal_match(ps, [1, 1, 0, 0])
+
+    @pytest.mark.parametrize("multiplier", [np.nan, np.inf])
+    def test_non_finite_caliper_raises(self, multiplier):
+        with pytest.raises(ValueError, match="finite caliper"):
+            optimal_match([0.2, 0.3, 0.25, 0.35], [1, 1, 0, 0], multiplier)
+
+
 class TestGenetic:
     def setup_method(self):
         self.rng = np.random.default_rng(7)

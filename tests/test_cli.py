@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from qcausal.cli import (
     EXIT_EMPTY_MATCH,
     EXIT_FAILURE,
     EXIT_OK,
+    _write_balance,
     main,
     read_pairs,
     read_scores,
@@ -66,6 +68,51 @@ class TestGen:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana=1\n", encoding="utf-8")
         assert run(*gen_args(tmp_path, extra=("--config", str(cfg)))) == EXIT_FAILURE
+
+
+class TestConfigValues:
+    """A config value that is out of range or misspelled ends the run with
+    exit 1 and a message, never a silently changed run or a traceback."""
+
+    def run_pipeline(self, tmp_path, capsys, line, model="lr", adjust="mw"):
+        cfg = tmp_path / "values.cfg"
+        cfg.write_text(f"max_evaluations=13\n{line}\n", encoding="utf-8")
+        code = run("pipeline", "--out-dir", str(tmp_path / "out"), "--n", "120", "--seed", "1",
+                   "--model", model, "--adjust", adjust, "--config", str(cfg))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+    def test_misspelled_boolean(self, tmp_path, capsys, value):
+        code, err = self.run_pipeline(tmp_path, capsys, f"variational={value}", model="qnn_exact")
+        assert code == EXIT_FAILURE
+        assert "config line 2: variational must be one of 1/true/yes/0/false/no" in err
+
+    @pytest.mark.parametrize("value, expected", [("TRUE", True), ("Yes", True), ("0", False), ("no", False)])
+    def test_boolean_spellings(self, tmp_path, capsys, value, expected):
+        assert self.run_pipeline(tmp_path, capsys, f"variational={value}", model="qnn_exact")[0] == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["variational"] is expected
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha(self, tmp_path, capsys, value):
+        code, err = self.run_pipeline(tmp_path, capsys, f"alpha={value}", model="qnn_exact")
+        assert code == EXIT_FAILURE
+        assert "alpha must be finite and nonnegative" in err
+
+    @pytest.mark.parametrize("key", ["stage_to_treatment", "sex_to_treatment", "treatment_effect",
+                                     "baseline_hazard"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_generator_knob(self, tmp_path, capsys, key, value):
+        code, err = self.run_pipeline(tmp_path, capsys, f"{key}={value}")
+        assert code == EXIT_FAILURE
+        assert f"qcausal pipeline: {key} must be finite" in err
+        assert not (tmp_path / "out" / "cohort.csv").exists()
+
+    def test_negative_genetic_generations(self, tmp_path, capsys):
+        code, err = self.run_pipeline(tmp_path, capsys, "genetic_generations=-1", adjust="genetic100")
+        assert code == EXIT_FAILURE
+        assert "generations must be >= 0" in err
+        assert not (tmp_path / "out" / "pairs.csv").exists()
 
 
 class TestFitPs:
@@ -720,6 +767,17 @@ class TestBalanceRecord:
         assert run("adjust", "--out-dir", str(out), "--adjust", adjust) == EXIT_FAILURE
         assert "row 7: propensity lies outside (0, 1)" in capsys.readouterr().err
         assert not (out / "balance.json").exists()
+
+    def test_numpy_scalars_parse_as_numbers(self, tmp_path):
+        # repr of a numpy scalar is np.float64(...), which no reader parses
+        row = {"covariate": "Age", "smd_before": np.float64(0.8203151999924831),
+               "smd_after": np.float64(-1e-300), "test": "t-test", "p_before": np.float64(0.5),
+               "p_after": 0.25}
+        _write_balance(tmp_path, {"rows": [row]}, "nn")
+        with open(tmp_path / "balance.csv", newline="", encoding="utf-8") as handle:
+            (record,) = csv.DictReader(handle)
+        for name in ("smd_before", "smd_after", "p_before", "p_after"):
+            assert float(record[name]) == row[name], name
 
     def test_weights_record_effective_sample_size(self, tmp_path):
         out = prepared_dir(tmp_path, n=300, seed=2)

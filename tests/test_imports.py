@@ -1,11 +1,11 @@
 """The import path of a stage process.
 
 A `qcausal` stage loads numpy alone: no scipy module is imported by the
-package, except scipy.optimize by the first `optimal_match` call, and the
-timed stages import nothing that set-up has not loaded.  The scipy.special
-functions that the package once used for its tail probabilities equal the
-scipy.stats survival functions bit for bit; `tests/test_tails.py` checks the
-package's own tails against the same references.
+package, not even by `optimal_match`, and the timed stages import nothing
+that set-up has not loaded.  The scipy.special functions that the package
+once used for its tail probabilities equal the scipy.stats survival
+functions bit for bit; `tests/test_tails.py` checks the package's own tails
+against the same references.
 """
 
 import json
@@ -53,8 +53,14 @@ def test_stage_modules_skip_scipy_linear_algebra():
 
 
 # (fit-ps model, adjustment) pairs that cover every propensity model family
-# and the greedy, weighting and genetic adjustments
-STAGE_RUNS = (("lr", "nn"), ("gbm", "mw"), ("qnn_exact", "genetic100"), ("qnn_f_backend", "nn"))
+# and the greedy, optimal, weighting and genetic adjustments
+STAGE_RUNS = (
+    ("lr", "nn"),
+    ("lr", "optimal"),
+    ("gbm", "mw"),
+    ("qnn_exact", "genetic100"),
+    ("qnn_f_backend", "nn"),
+)
 
 
 def test_timed_stages_import_nothing_after_gen(tmp_path):
@@ -63,22 +69,23 @@ def test_timed_stages_import_nothing_after_gen(tmp_path):
     # would move its import cost into the stages
     cfg = tmp_path / "small.cfg"
     cfg.write_text("max_evaluations=13\nshots=16\ngenetic_generations=1\n", encoding="utf-8")
-    _, printed = loaded_after(
+    modules, printed = loaded_after(
         "import qcausal.cli, qcausal.survival\n"
         "from qcausal.cli import main\n"
         f"root, cfg = {str(tmp_path)!r}, {str(cfg)!r}\n"
         f"runs = {STAGE_RUNS!r}\n"
         "for model, adjust in runs:\n"
-        "    assert main(['gen', '--out-dir', f'{root}/{model}', '--n', '80', '--seed', '3']) == 0\n"
+        "    assert main(['gen', '--out-dir', f'{root}/{model}-{adjust}', '--n', '80', '--seed', '3']) == 0\n"
         "before = set(sys.modules)\n"
         "for model, adjust in runs:\n"
-        "    common = ['--out-dir', f'{root}/{model}', '--seed', '3', '--config', cfg]\n"
+        "    common = ['--out-dir', f'{root}/{model}-{adjust}', '--seed', '3', '--config', cfg]\n"
         "    assert main(['fit-ps', *common, '--model', model]) == 0\n"
         "    assert main(['adjust', *common, '--adjust', adjust]) == 0\n"
         "    assert main(['survival', *common[:4], '--adjust', adjust]) == 0\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     assert json.loads(printed[-1]) == []
+    assert not modules
 
 
 def test_package_import_loads_no_submodule():
@@ -101,15 +108,14 @@ def test_star_import_still_exposes_every_stage():
     assert printed == ["True"]
 
 
-def test_optimal_match_imports_the_solver_on_first_call():
+def test_optimal_match_loads_no_scipy():
     modules, printed = loaded_after(
         "from qcausal.adjust import optimal_match\n"
-        "before = 'scipy.optimize' in sys.modules\n"
         "match = optimal_match([0.2, 0.3, 0.25, 0.35], [0, 1, 0, 1], caliper_multiplier=1.0)\n"
-        "print(before, match.pairs, match.unmatched_treated)"
+        "print(match.pairs, match.unmatched_treated)"
     )
-    assert printed == ["False ((1, 2),) (3,)"]
-    assert "scipy.optimize" in modules
+    assert printed == ["((1, 2),) (3,)"]
+    assert not modules
 
 
 def tail_arguments(rng, size):
