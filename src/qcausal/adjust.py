@@ -12,13 +12,16 @@ Both greedy matchers run on one core.  It builds the caliper window once per
 call: the (treated, control) pairs whose score gap is within the caliper,
 in row-major order, so each treated subject's candidates stay in ascending
 control index.  Distances are computed only inside the window:
-|score gap| for nearest-neighbor matching, and for genetic matching each
-genome's weighted Euclidean distance, gathered element by element from the
-same full-matrix arithmetic, so every bit matches.  One pass over the
-treated subjects then matches a whole generation of genomes at once, in
-blocks of at most _BLOCK_BYTES of distances; each subject takes its nearest
-control not yet taken by the same genome, equal distances go to the lowest
-control index, and a subject whose candidates are all taken stays unmatched.
+|score gap| for nearest-neighbor matching.  Genetic matching squares the
+per-column gaps of every window pair once per call, as a (columns x window)
+matrix over the raw covariates and score, and folds the standardizing
+1/std^2 into the genome, so a block of genomes gets its squared distances
+from one matrix product.  Two controls whose squared gaps are equal column
+for column are then exactly equidistant.  One pass over the treated
+subjects matches a whole generation of genomes at once, in blocks of at
+most _BLOCK_BYTES of distances; each subject takes its nearest control not
+yet taken by the same genome, equal distances go to the lowest control
+index, and a subject whose candidates are all taken stays unmatched.
 Distances must be finite: genetic matching raises ValueError on non-finite
 covariates.
 
@@ -198,8 +201,8 @@ class _GreedyCore:
         np.abs(gap, out=gap)
         # window positions in the flattened treated x control matrix; a NaN
         # caliper (from a NaN score) leaves the window empty
-        self.flat = np.flatnonzero(gap <= caliper)
-        self.rows, self.cols = np.divmod(self.flat, len(ps_c))
+        flat = np.flatnonzero(gap <= caliper)
+        self.rows, self.cols = np.divmod(flat, len(ps_c))
         bounds = np.searchsorted(self.rows, np.arange(len(ps_t) + 1))
         starts, stops = bounds[self.order], bounds[self.order + 1]
         steps = np.flatnonzero(starts < stops)
@@ -314,13 +317,6 @@ def optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
     return MatchSet(tuple(sorted(pairs)), tuple(sorted(unmatched)), caliper)
 
 
-def _standardize(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    std = matrix.std(axis=0, ddof=1)
-    std[std == 0] = 1.0
-    return (matrix - matrix.mean(axis=0)) / std
-
-
 def genetic_match(
     covariates,
     z,
@@ -347,34 +343,28 @@ def genetic_match(
         raise ValueError("generations must be >= 0")
     ps = np.asarray(ps, dtype=float)
     rng = np.random.default_rng(seed)
-    features = _standardize(np.column_stack([covariates, ps]))
-    d = features.shape[1]
+    raw = np.column_stack([covariates, ps])
+    d = raw.shape[1]
+    # standardizing divides column k by its ddof=1 std s_k (0 -> 1), so the
+    # genome's weight g_k acts on the raw squared gap as g_k / s_k^2
+    std = raw.std(axis=0, ddof=1)
+    std[std == 0] = 1.0
+    inv_var = 1.0 / std**2
     # The score caliper keeps the match selective: without it, balanced arm
     # sizes would always match the whole cohort and balance could not change.
     core = _GreedyCore(ps, z, score_caliper(ps, caliper_multiplier))
-    features_t, features_c = features[core.treated], features[core.control]
     columns = np.ascontiguousarray(covariates.T)
     binary = [is_binary(col) for col in columns]
     width = len(core.cols)
     block = min(population, max(1, _BLOCK_BYTES // (8 * max(width, 1))))
-    # buffers reused by every genome: the full cross product, one window
-    # term, and the window distances of one block of genomes
-    cross = np.empty((len(core.treated), len(core.control)))
-    term = np.empty(width)
+    # the window distances of one block of genomes, reused by every block
     buffer = np.empty((block, width))
-
-    def window_distances(genome, out):
-        """Weighted Euclidean distances inside the caliper window, element
-        for element the arithmetic of the full treated x control matrix:
-        sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))."""
-        weight = np.sqrt(genome)
-        a, b = features_t * weight, features_c * weight
-        np.matmul(a, b.T, out=cross)
-        np.take((a * a).sum(axis=1), core.rows, out=out)
-        out += np.take((b * b).sum(axis=1), core.cols, out=term)
-        out -= np.multiply(np.take(cross, core.flat, out=term), 2.0, out=term)
-        np.clip(out, 0.0, None, out=out)
-        np.sqrt(out, out=out)
+    # squared per-column gaps of every window pair, built a column at a time
+    gaps = np.empty((d, width))
+    for k, column in enumerate(raw.T):
+        np.take(column[core.treated], core.rows, out=gaps[k])
+        gaps[k] -= np.take(column[core.control], core.cols, out=buffer[0])
+    np.square(gaps, out=gaps)
 
     def mean_abs_smd(picks):
         """Fitness of one genome's match: mean |SMD| over the covariates,
@@ -389,10 +379,8 @@ def genetic_match(
         picks = []
         for start in range(0, len(genomes), block):
             chunk = genomes[start : start + block]
-            distances = buffer[: len(chunk)]
-            for genome, out in zip(chunk, distances):
-                window_distances(genome, out)
-            picks.append(core.run(distances))
+            distances = np.matmul(chunk * inv_var, gaps, out=buffer[: len(chunk)])
+            picks.append(core.run(np.sqrt(distances, out=distances)))
         picks = np.concatenate(picks)
         return picks, np.array([mean_abs_smd(row) for row in picks])
 

@@ -115,10 +115,14 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
             if key not in types:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             kind = types[key]
-            if kind in ("int", int):
-                parsed = int(value)
-            elif kind in ("float", float):
-                parsed = float(value)
+            if kind in ("int", int, "float", float):
+                number, noun = (int, "an integer") if kind in ("int", int) else (float, "a number")
+                try:
+                    parsed = number(value)
+                except ValueError:
+                    raise ValueError(
+                        f"config line {lineno}: {key} must be {noun}, got {value!r}"
+                    ) from None
             elif kind in ("bool", bool):
                 parsed = BOOLEANS.get(value.lower())
                 if parsed is None:

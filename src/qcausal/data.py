@@ -215,6 +215,9 @@ def load_cohort(path, schema: CohortSchema | None = None) -> tuple[Cohort, LoadR
         except StopIteration:
             raise CohortError("empty file: no header row") from None
         expected = schema.names()
+        duplicated = list(dict.fromkeys(h for i, h in enumerate(header) if h in header[:i]))
+        if duplicated:
+            raise CohortError(f"duplicated column(s) {duplicated}")
         unknown = [h for h in header if h not in expected]
         if unknown:
             raise CohortError(f"unknown column(s) {unknown} not in schema")

@@ -5,17 +5,19 @@ compose them explicitly, so agreement with the package is a genuine
 cross-check.  The gate-sequence harness runs an explicit gate list through
 the package's product-state core, so the dense oracles can be compared on any
 gate order.  The matching oracles are the earlier one-genome-at-a-time
-greedy matchers on full treated x control distance matrices, and the earlier
-optimal matcher, which hands scipy's assignment solver a dense cost matrix
-with sentinel prices.  The boosted-tree
-oracles are the earlier per-node argsort, scalar split scan and row-by-row tree
-walk.  The survival oracles are the earlier estimators that rebuilt the at-risk
-set once per event time, and Harrell's C that compared every event with every
+greedy matchers on full treated x control distance matrices, an exact
+greedy matcher that sums the weighted squared gaps in fractions.Fraction,
+and the earlier optimal matcher, which hands scipy's assignment solver a
+dense cost matrix with sentinel prices.  The boosted-tree oracles are the
+earlier per-node argsort, scalar split scan and row-by-row tree walk.  The
+survival oracles are the earlier estimators that rebuilt the at-risk set
+once per event time, and Harrell's C that compared every event with every
 later subject.  The CMA-ES oracles are the earlier `ask` and `tell`, which
 decomposed the covariance once each per generation.
 """
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -169,7 +171,8 @@ def sample_noisy_expectation_from_gates(gates, n_qubits, obs, noise, shots, seed
 
 # ---------------------------------------------------------------------------
 # matching reference: the per-genome greedy matcher that the package's
-# caliper-windowed, generation-batched core replaced, kept verbatim
+# caliper-windowed, generation-batched core replaced, kept verbatim, and an
+# exact-arithmetic greedy matcher for instances where exact ties decide
 # ---------------------------------------------------------------------------
 
 
@@ -266,23 +269,66 @@ def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
     return total / covariates.shape[1]
 
 
-def genetic_match(
-    covariates,
-    z,
-    ps,
-    population: int = 100,
-    generations: int = 30,
-    seed: int = 0,
-    caliper_multiplier: float = 0.25,
-) -> MatchSet:
-    """Evolve a diagonal metric over (standardized covariates, score) that
-    minimizes the mean |SMD| after greedy matching in that metric.
+def exact_gap_terms(covariates, ps):
+    """(i, j) -> [(x_ik - x_jk)^2 / s_k^2 for each column k] as Fractions,
+    over the columns of (covariates, score), s_k being the column's ddof=1
+    standard deviation as numpy rounds it, 0 -> 1.  Inputs must be finite."""
+    raw = np.column_stack([covariates, ps])
+    std = raw.std(axis=0, ddof=1)
+    std[std == 0] = 1.0
+    inv_var = [1 / Fraction(s) ** 2 for s in std.tolist()]
+    exact = [[Fraction(v) for v in row] for row in raw.tolist()]
+    return lambda i, j: [(a - b) ** 2 * v for a, b, v in zip(exact[i], exact[j], inv_var)]
 
-    Tournament selection of size 3, uniform crossover at rate 0.5, log-normal
-    gene mutation with sigma 0.2, one elite per generation; the unit metric is
-    seeded into the initial population, so the result never balances worse
-    than plain nearest-neighbor matching in standardized coordinates.
+
+def exact_sq_distance(covariates, ps, genome, i, j) -> Fraction:
+    """The exact squared distance d^2 = sum_k g_k (x_ik - x_jk)^2 / s_k^2."""
+    terms = exact_gap_terms(covariates, ps)(i, j)
+    return sum(Fraction(g) * term for g, term in zip(np.asarray(genome, dtype=float).tolist(), terms))
+
+
+def exact_metric_matcher(covariates, ps, z, caliper):
+    """Greedy NN matcher on `exact_sq_distance`: genome -> MatchSet.
+
+    Every distance is a fractions.Fraction, so equal distances are equal and
+    go to the lowest control index.  The score caliper is applied in floats,
+    as the package applies it.
     """
+    ps = np.asarray(ps, dtype=float)
+    terms = exact_gap_terms(covariates, ps)
+    treated, control = _split_groups(z)
+    order = sorted(enumerate(ps[treated]), key=lambda kv: (-kv[1], kv[0]))
+    # the terms of each in-caliper control of each treated subject
+    candidates = {
+        r: [(c, terms(t, j)) for c, j in enumerate(control) if abs(ps[t] - ps[j]) <= caliper]
+        for r, t in enumerate(treated)
+    }
+
+    def match(genome) -> MatchSet:
+        weights = [Fraction(g) for g in np.asarray(genome, dtype=float).tolist()]
+        taken = set()
+        pairs, unmatched = [], []
+        for r, _ in order:
+            best = None
+            for c, terms in candidates[r]:  # ascending control index
+                if c in taken:
+                    continue
+                dist = sum(w * term for w, term in zip(weights, terms))
+                if best is None or dist < best[0]:
+                    best = (dist, c)
+            if best is None:
+                unmatched.append(int(treated[r]))
+            else:
+                taken.add(best[1])
+                pairs.append((int(treated[r]), int(control[best[1]])))
+        return MatchSet(tuple(pairs), tuple(unmatched), caliper)
+
+    return match
+
+
+def _evolve(covariates, z, ps, population, generations, seed, caliper_multiplier, matcher):
+    """The genetic search shared by both genetic oracles; `matcher` builds,
+    from (covariates, ps, z, caliper), the genome -> MatchSet function."""
     covariates = np.asarray(covariates, dtype=float)
     if covariates.ndim != 2 or covariates.shape[1] < 1:
         raise ValueError("covariates must be a non-empty 2-d matrix")
@@ -290,12 +336,12 @@ def genetic_match(
         raise ValueError("population must be >= 4")
     ps = np.asarray(ps, dtype=float)
     rng = np.random.default_rng(seed)
-    features = _standardize(np.column_stack([covariates, ps]))
-    d = features.shape[1]
+    d = covariates.shape[1] + 1
     caliper = score_caliper(ps, caliper_multiplier)
+    match = matcher(covariates, ps, z, caliper)
 
     def evaluate(genome):
-        return _mean_abs_smd(covariates, z, _metric_match(features, ps, z, genome, caliper))
+        return _mean_abs_smd(covariates, z, match(genome))
 
     genomes = np.exp(rng.normal(0.0, 0.5, size=(population, d)))
     genomes[0] = 1.0  # identity-metric candidate
@@ -319,8 +365,49 @@ def genetic_match(
         genomes = np.asarray(children)
         fitness = np.array([evaluate(g) for g in genomes])
 
-    best = genomes[int(np.argmin(fitness))]
-    return _metric_match(features, ps, z, best, caliper)
+    return match(genomes[int(np.argmin(fitness))])
+
+
+def float_metric_matcher(covariates, ps, z, caliper):
+    """The verbatim float matcher on standardized (covariates, score):
+    genome -> MatchSet."""
+    features = _standardize(np.column_stack([covariates, ps]))
+    return lambda genome: _metric_match(features, ps, z, genome, caliper)
+
+
+def genetic_match(
+    covariates,
+    z,
+    ps,
+    population: int = 100,
+    generations: int = 30,
+    seed: int = 0,
+    caliper_multiplier: float = 0.25,
+) -> MatchSet:
+    """Evolve a diagonal metric over (standardized covariates, score) that
+    minimizes the mean |SMD| after greedy matching in that metric.
+
+    Tournament selection of size 3, uniform crossover at rate 0.5, log-normal
+    gene mutation with sigma 0.2, one elite per generation; the unit metric is
+    seeded into the initial population, so the result never balances worse
+    than plain nearest-neighbor matching in standardized coordinates.
+    """
+    return _evolve(covariates, z, ps, population, generations, seed, caliper_multiplier,
+                   float_metric_matcher)
+
+
+def exact_genetic_match(
+    covariates,
+    z,
+    ps,
+    population: int = 100,
+    generations: int = 30,
+    seed: int = 0,
+    caliper_multiplier: float = 0.25,
+) -> MatchSet:
+    """`genetic_match` with every genome matched by `exact_metric_matcher`."""
+    return _evolve(covariates, z, ps, population, generations, seed, caliper_multiplier,
+                   exact_metric_matcher)
 
 
 # ---------------------------------------------------------------------------

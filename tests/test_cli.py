@@ -87,6 +87,17 @@ class TestConfigValues:
         assert code == EXIT_FAILURE
         assert "config line 2: variational must be one of 1/true/yes/0/false/no" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("genetic_generations=1.5", "genetic_generations must be an integer, got '1.5'"),
+        ("seed=", "seed must be an integer, got ''"),
+        ("alpha=1e-3x", "alpha must be a number, got '1e-3x'"),
+    ])
+    def test_unparsed_number_names_line_and_key(self, tmp_path, capsys, line, message):
+        code, err = self.run_pipeline(tmp_path, capsys, line)
+        assert code == EXIT_FAILURE
+        assert f"config line 2: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value, expected", [("TRUE", True), ("Yes", True), ("0", False), ("no", False)])
     def test_boolean_spellings(self, tmp_path, capsys, value, expected):
         assert self.run_pipeline(tmp_path, capsys, f"variational={value}", model="qnn_exact")[0] == EXIT_OK

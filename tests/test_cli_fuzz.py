@@ -1,10 +1,13 @@
-"""Fuzz scores.csv and weights.csv through `main()`.
+"""Fuzz the input files of every stage through `main()`.
 
 scores.csv feeds `adjust` with nearest-neighbour and with optimal matching;
 weights.csv feeds `survival`.  Each example permutes the data rows of one
-file, then may duplicate, drop or corrupt rows.  Whatever the edit, the stage must end with an exit code
-(0, 1 or 3), never an uncaught exception.  A pure permutation must give
-byte-identical outputs, since both files are read by their `subject` column.
+file, then may duplicate, drop or corrupt rows.  Whatever the edit, the stage
+must end with an exit code (0, 1 or 3), never an uncaught exception.  A pure
+permutation must give byte-identical outputs, since both files are read by
+their `subject` column.  Malformed cohort.csv files go through every stage
+that reads one, and malformed pairs.csv rows through `survival`, under the
+same rule.
 """
 
 import contextlib
@@ -119,3 +122,77 @@ def test_edited_input_exits_cleanly(prepared, case, edit):
             assert code == EXIT_OK, err
             for output in OUTPUTS[name]:
                 assert (out / output).read_bytes() == (source / output).read_bytes(), output
+
+
+def malformed_cohorts(lines):
+    """(case, cohort.csv text) of each malformed cohort file."""
+    header, rows = lines[0], lines[1:]
+    duplicated = [f"{header},Age"] + [f"{row},{row.split(',')[0]}" for row in rows]
+    return {
+        "empty file": "",
+        "header only": header + "\n",
+        "short row": "\n".join([header, *rows[:5], rows[5].rsplit(",", 1)[0], *rows[6:]]) + "\n",
+        "duplicated column": "\n".join(duplicated) + "\n",
+        "BOM-prefixed header": "\ufeff" + "\n".join(lines) + "\n",
+    }
+
+
+# pairs.csv edits: the new text of a row, from its own pair (t, c) and the
+# text of another data row
+PAIR_EDITS = {
+    "negative": lambda t, c, other: f"-1,{c}",
+    "duplicated": lambda t, c, other: other,
+    "arm-swapped": lambda t, c, other: f"{c},{t}",
+    "float": lambda t, c, other: f"{t}.0,{c}",
+    "nan": lambda t, c, other: f"nan,{c}",
+    "bool": lambda t, c, other: f"True,{c}",
+}
+
+
+@pytest.fixture(scope="module")
+def matched(tmp_path_factory):
+    """cohort.csv, scores.csv and pairs.csv of an `adjust --adjust nn` run."""
+    out = tmp_path_factory.mktemp("fuzz") / "matched"
+    for argv in (["gen", "--n", str(N)], ["fit-ps"], ["adjust", "--adjust", "nn"]):
+        assert run([*argv, "--out-dir", str(out), "--seed", "2"])[0] == EXIT_OK
+    return out
+
+
+def run_on_copy(source, name, text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(source, out)
+        (out / name).write_text(text, encoding="utf-8")
+        code, err = run([*argv, "--out-dir", str(out)])
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_EMPTY_MATCH), err
+    assert "Traceback" not in err
+    if code == EXIT_FAILURE:
+        assert err.startswith(f"qcausal {argv[0]}: "), err
+    return code, err
+
+
+@pytest.mark.parametrize("case", list(malformed_cohorts(["h", "r"] * 4)))
+@pytest.mark.parametrize("stage", [["fit-ps"], ["adjust", "--adjust", "nn"],
+                                   ["survival", "--adjust", "nn"]],
+                         ids=["fit-ps", "adjust", "survival"])
+def test_malformed_cohort_exits_cleanly(matched, case, stage):
+    lines = (matched / "cohort.csv").read_text(encoding="utf-8").splitlines()
+    code, err = run_on_copy(matched, "cohort.csv", malformed_cohorts(lines)[case], stage)
+    if case == "duplicated column":
+        assert code == EXIT_FAILURE
+        assert "duplicated column(s) ['Age']" in err
+
+
+@pytest.mark.parametrize("edit", list(PAIR_EDITS))
+@pytest.mark.parametrize("row", [1, 7, None])
+def test_malformed_pairs_exit_cleanly(matched, edit, row):
+    """Edit data row 1 or 7 in place, or append an edited copy of row 1."""
+    lines = (matched / "pairs.csv").read_text(encoding="utf-8").splitlines()
+    line = PAIR_EDITS[edit](*lines[row or 1].split(","), lines[2 if row == 1 else 1])
+    if row:
+        lines[row] = line
+    else:
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    code, _ = run_on_copy(matched, "pairs.csv", text, ["survival", "--adjust", "nn"])
+    assert code == EXIT_FAILURE

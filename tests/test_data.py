@@ -59,6 +59,11 @@ class TestLoad:
         with pytest.raises(CohortError, match="Mystery"):
             load_cohort(path)
 
+    def test_duplicated_column_rejected(self, tmp_path):
+        path = write_csv(tmp_path, [GOOD_ROW + ",70.0,1"], header=HEADER + ",Age,Sex")
+        with pytest.raises(CohortError, match=r"duplicated column\(s\) \['Age', 'Sex'\]"):
+            load_cohort(path)
+
     def test_missing_schema_column_rejected(self, tmp_path):
         header = HEADER.replace(",Event", "")
         path = write_csv(tmp_path, [GOOD_ROW.rsplit(",", 1)[0]], header=header)

@@ -2,7 +2,9 @@
 one-genome-at-a-time matchers it replaced (kept verbatim in oracles.py).
 
 Equality is of whole MatchSets: pairs in match order, the unmatched treated
-in visiting order, and the caliper.
+in visiting order, and the caliper.  Where exact ties decide a genetic
+match, the reference is the exact-arithmetic oracle, since the float one
+breaks such ties by rounding residue.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import oracles
 from qcausal import adjust, cli
+from qcausal.adjust import MatchSet
 from qcausal.data import load_cohort
 
 SEEDS = range(24)
@@ -43,12 +46,65 @@ def test_nearest_neighbor_matches_oracle(multiplier):
 @pytest.mark.parametrize("population", [4, 100])
 @pytest.mark.parametrize("multiplier", [0.25, 0.05])
 def test_genetic_matches_oracle(population, multiplier):
+    """Small populations on the tie-heavy instances meet exact ties the float
+    oracle breaks by rounding residue, so they are held to the exact oracle."""
     generations = 3 if population == 4 else 1
+    oracle = oracles.exact_genetic_match if population == 4 else oracles.genetic_match
     for seed in SEEDS:
         X, z, ps = tie_heavy_instance(seed, n=40 if population == 100 else None)
         args = dict(population=population, generations=generations, seed=seed,
                     caliper_multiplier=multiplier)
-        assert adjust.genetic_match(X, z, ps, **args) == oracles.genetic_match(X, z, ps, **args), seed
+        assert adjust.genetic_match(X, z, ps, **args) == oracle(X, z, ps, **args), seed
+
+
+def visits(match: MatchSet, order) -> list:
+    """The control each treated subject of `order` took, or None."""
+    taken = dict(match.pairs)
+    return [taken.get(t) for t in order]
+
+
+def test_float_oracle_differs_only_at_exact_ties(monkeypatch):
+    """Per genome of whole initial populations: the package's match equals
+    the exact oracle's, and where it differs from the float oracle's, the
+    first treated subject they match differently has two exactly equidistant
+    controls, and the package took the lower index."""
+    recorded = []
+    run = adjust._GreedyCore.run
+
+    def recording_run(core, distances):
+        recorded.append((core, run(core, distances)))
+        return recorded[-1][1]
+
+    monkeypatch.setattr(adjust._GreedyCore, "run", recording_run)
+    population, genomes_seen, ties = 40, 0, 0
+    for seed in SEEDS:
+        X, z, ps = tie_heavy_instance(seed)
+        recorded.clear()
+        adjust.genetic_match(X, z, ps, population=population, generations=0, seed=seed)
+        core = recorded[0][0]
+        picks = np.concatenate([row for _, row in recorded])
+        # the initial population as genetic_match draws it
+        genomes = np.exp(np.random.default_rng(seed).normal(0.0, 0.5, size=(population, 4)))
+        genomes[0] = 1.0
+        caliper = adjust.score_caliper(ps)
+        exact = oracles.exact_metric_matcher(X, ps, z, caliper)
+        floats = oracles.float_metric_matcher(X, ps, z, caliper)
+        order = core.treated[core.order].tolist()
+        for genome, row in zip(genomes, picks):
+            new = core.match_set(row)
+            assert new == exact(genome), seed
+            genomes_seen += 1
+            old = visits(floats(genome), order)
+            diverged = [(t, a, b) for t, a, b in zip(order, visits(new, order), old) if a != b]
+            if diverged:
+                t, ours, theirs = diverged[0]
+                assert ours < theirs, seed
+                assert oracles.exact_sq_distance(X, ps, genome, t, ours) == (
+                    oracles.exact_sq_distance(X, ps, genome, t, theirs)
+                ), seed
+                ties += 1
+    assert genomes_seen == population * len(SEEDS)
+    assert ties  # the tie-heavy instances do meet such ties
 
 
 def test_unmatched_treated_and_empty_window():
