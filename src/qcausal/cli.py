@@ -13,8 +13,13 @@ there, so the stages compose:
 All randomness flows from --seed.  Stage k derives its own integer stream as
 SeedSequence((seed, k)) with k = 0 for generation, 1 for subsampling, 2 for
 model fitting, and 3 for adjustment; circuit-model scoring draws every
-subject from one generator seeded with (model stream, 7).  A --config file
-of `key=value` lines overrides any flag of the same name.
+subject from one generator seeded with (model stream, 7).
+
+RunConfig declares every run option once: its name, type and default.  Each
+stage's flags come from the STAGES table, which names the option each flag
+sets; a --config file of `key=value` lines, read after the flags, sets
+options by name.  One function, set_option, reads the text of both, so a bad
+value gets the same message from a flag as from a config line.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .quantum import NoiseModel
 
 MODELS = ("qnn_exact", "qnn_sam", "qnn_f_backend", "lr", "gbm")
 ADJUSTMENTS = ("nn", "optimal", "genetic100", "genetic400", "ate", "att", "overlap", "mw")
+SAMPLES = ("100", "500", "full")  # model-fitting subsample sizes
 MODEL_COVARIATES = ("Age", "Sex", "Stage", "BMI")
 SURVIVAL_COVARIATES = ("Age", "Sex", "BMI", "ASA", "Stage")
 CLASSICAL_CLIP = 1e-9
@@ -48,22 +54,26 @@ EXIT_EMPTY_MATCH = 3
 
 @dataclass
 class RunConfig:
+    """The settings of a run.  Each field but `command` is an option: its name
+    is the config-file key, its annotation the type its text is read as, and
+    its default what a run gets when no flag or config line sets it."""
+
     command: str
     out_dir: str
     seed: int = 0
-    n: str = "800"  # generated cohort size
-    sample: str = "full"  # model-fitting subsample: 100, 500, or full
+    n: int = data.SynthConfig.n  # generated cohort size
+    sample: str = "full"  # model-fitting subsample, one of SAMPLES
     model: str = "lr"
     adjust: str = "mw"
     shots: int = 1024
     noise_p: float = 0.01
     alpha: float = 1e-3
-    # generator knobs (config-file keys)
-    stage_to_treatment: float = -0.8
-    sex_to_treatment: float = 0.4
-    treatment_effect: float = 0.0
-    baseline_hazard: float = 0.012
-    censoring_target: float = 0.4
+    # generator knobs, passed to data.SynthConfig by name
+    stage_to_treatment: float = data.SynthConfig.stage_to_treatment
+    sex_to_treatment: float = data.SynthConfig.sex_to_treatment
+    treatment_effect: float = data.SynthConfig.treatment_effect
+    baseline_hazard: float = data.SynthConfig.baseline_hazard
+    censoring_target: float = data.SynthConfig.censoring_target
     # circuit-model knobs (config-file keys)
     layers: int = 1
     variational: bool = False
@@ -72,12 +82,14 @@ class RunConfig:
     genetic_generations: int = 30
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.adjust not in ADJUSTMENTS:
             raise ValueError(f"adjust must be one of {ADJUSTMENTS}, got {self.adjust!r}")
-        if self.sample not in ("100", "500", "full"):
-            raise ValueError(f"sample must be 100, 500, or full, got {self.sample!r}")
+        if self.sample not in SAMPLES:
+            raise ValueError(f"sample must be one of {SAMPLES}, got {self.sample!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if not 0.0 <= self.noise_p <= 1.0:
@@ -97,13 +109,33 @@ def _stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence((seed, stage)).generate_state(1)[0])
 
 
-# the spellings a boolean config value may take, in any case
+# the type annotation of each option, keyed by its name
+OPTIONS = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
+# the spellings a boolean option may take, in any case
 BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# how the text of an option of each type is read, and what it must be
+READERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda text: BOOLEANS[text.lower()], f"one of {'/'.join(BOOLEANS)}"),
+    "str": (str, "text"),
+}
+
+
+def set_option(config: RunConfig, key: str, text: str, where: str) -> None:
+    """Read `text` as option `key` and set it on `config`.  Flags and config
+    lines both come here; text the option's type cannot read is a ValueError
+    that starts with `where`, the flag or the config line and key."""
+    read, noun = READERS[OPTIONS[key]]
+    try:
+        value = read(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{where} must be {noun}, got {text!r}") from None
+    setattr(config, key, value)
 
 
 def apply_config_file(config: RunConfig, path: str) -> RunConfig:
     """Override config fields from `key=value` lines; `#` starts a comment."""
-    types = {f.name: f.type for f in fields(RunConfig)}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
@@ -112,26 +144,9 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in types:
+            if key not in OPTIONS:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            kind = types[key]
-            if kind in ("int", int, "float", float):
-                number, noun = (int, "an integer") if kind in ("int", int) else (float, "a number")
-                try:
-                    parsed = number(value)
-                except ValueError:
-                    raise ValueError(
-                        f"config line {lineno}: {key} must be {noun}, got {value!r}"
-                    ) from None
-            elif kind in ("bool", bool):
-                parsed = BOOLEANS.get(value.lower())
-                if parsed is None:
-                    raise ValueError(
-                        f"config line {lineno}: {key} must be one of {'/'.join(BOOLEANS)}, got {value!r}"
-                    )
-            else:
-                parsed = value
-            setattr(config, key, parsed)
+            set_option(config, key, value, f"config line {lineno}: {key}")
     return config
 
 
@@ -271,16 +286,8 @@ def _load_cohort(out_dir: Path) -> data.Cohort:
 def cmd_gen(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = int(config.n)
-    synth = data.SynthConfig(
-        n=n,
-        stage_to_treatment=config.stage_to_treatment,
-        sex_to_treatment=config.sex_to_treatment,
-        treatment_effect=config.treatment_effect,
-        baseline_hazard=config.baseline_hazard,
-        censoring_target=config.censoring_target,
-        seed=_stage_seed(config.seed, 0),
-    )
+    knobs = {f.name: getattr(config, f.name) for f in fields(data.SynthConfig) if f.name != "seed"}
+    synth = data.SynthConfig(**knobs, seed=_stage_seed(config.seed, 0))
     cohort = data.generate_synthetic_cohort(synth)
     data.write_cohort(cohort, out_dir / "cohort.csv")
     _write_json(
@@ -655,80 +662,63 @@ def cmd_pipeline(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each stage's function, help line and flags.  A flag is named by the option
+# it sets; --seed, --out-dir and --config come with every stage.
+_FIT_FLAGS = {"model": "--model", "shots": "--shots", "noise_p": "--noise-p", "alpha": "--alpha"}
+STAGES = {
+    "gen": (cmd_gen, "write a synthetic cohort CSV", {"n": "--n"}),
+    "fit-ps": (cmd_fit_ps, "fit a model and emit per-subject scores", {"sample": "--n", **_FIT_FLAGS}),
+    "adjust": (cmd_adjust, "matching or weighting plus balance report", {"adjust": "--adjust"}),
+    "survival": (cmd_survival, "KM curves, log-rank, Cox, additive model", {"adjust": "--adjust"}),
+    "pipeline": (
+        cmd_pipeline,
+        "gen, fit-ps, adjust, survival in sequence",
+        {"n": "--n", "adjust": "--adjust", **_FIT_FLAGS},
+    ),
+}
+# the values an option given as a flag must take
+CHOICES = {"model": MODELS, "adjust": ADJUSTMENTS, "sample": SAMPLES}
+
+
+def _flags(command: str) -> dict:
+    return {"seed": "--seed", **STAGES[command][2]}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per stage.  A flag left out is absent from the parsed
+    namespace, so RunConfig's default stands; its text is read by set_option."""
     parser = argparse.ArgumentParser(
         prog="qcausal",
         description="Propensity-score and survival pipeline on synthetic cohorts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
+    for command, (_, help_line, _) in STAGES.items():
+        p = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS)
         p.add_argument("--out-dir", required=True)
-        p.add_argument("--config", default=None, help="key=value file overriding flags")
-
-    p_gen = sub.add_parser("gen", help="write a synthetic cohort CSV")
-    add_common(p_gen)
-    p_gen.add_argument("--n", default="800")
-
-    p_fit = sub.add_parser("fit-ps", help="fit a model and emit per-subject scores")
-    add_common(p_fit)
-    p_fit.add_argument("--n", default="full", choices=("100", "500", "full"))
-    p_fit.add_argument("--model", default="lr", choices=MODELS)
-    p_fit.add_argument("--shots", type=int, default=1024)
-    p_fit.add_argument("--noise-p", type=float, default=0.01, dest="noise_p")
-    p_fit.add_argument("--alpha", type=float, default=1e-3)
-
-    p_adj = sub.add_parser("adjust", help="matching or weighting plus balance report")
-    add_common(p_adj)
-    p_adj.add_argument("--adjust", default="mw", choices=ADJUSTMENTS)
-
-    p_surv = sub.add_parser("survival", help="KM curves, log-rank, Cox, additive model")
-    add_common(p_surv)
-    p_surv.add_argument("--adjust", default="mw", choices=ADJUSTMENTS)
-
-    p_pipe = sub.add_parser("pipeline", help="gen, fit-ps, adjust, survival in sequence")
-    add_common(p_pipe)
-    p_pipe.add_argument("--n", default="800")
-    p_pipe.add_argument("--model", default="lr", choices=MODELS)
-    p_pipe.add_argument("--adjust", default="mw", choices=ADJUSTMENTS)
-    p_pipe.add_argument("--shots", type=int, default=1024)
-    p_pipe.add_argument("--noise-p", type=float, default=0.01, dest="noise_p")
-    p_pipe.add_argument("--alpha", type=float, default=1e-3)
+        p.add_argument("--config", help="key=value file overriding flags")
+        for key, flag in _flags(command).items():
+            p.add_argument(flag, dest=key, choices=CHOICES.get(key))
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, out_dir=args.out_dir, seed=args.seed)
-    for name in ("model", "adjust", "shots", "noise_p", "alpha"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "n"):
-        # fit-ps reads --n as the fitting subsample; gen/pipeline as cohort size
-        if args.command == "fit-ps":
-            config.sample = args.n
-        else:
-            config.n = args.n
-    if args.config:
-        apply_config_file(config, args.config)
+    options = dict(vars(args))
+    command, path = options.pop("command"), options.pop("config", None)
+    config = RunConfig(command=command, out_dir=options.pop("out_dir"))
+    flags = _flags(command)
+    for key, text in options.items():
+        set_option(config, key, text, flags[key])
+    if path is not None:
+        apply_config_file(config, path)
     config.validate()
     return config
-
-
-COMMANDS = {
-    "gen": cmd_gen,
-    "fit-ps": cmd_fit_ps,
-    "adjust": cmd_adjust,
-    "survival": cmd_survival,
-    "pipeline": cmd_pipeline,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        return COMMANDS[args.command](config)
+        return STAGES[args.command][0](config)
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"qcausal {args.command}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -246,6 +246,15 @@ def _cox_pass(beta, times, events, X, weights, efron):
     return loglik, score, info
 
 
+def _wald(coef, covariance):
+    """Standard errors, Wald z statistics and two-sided normal p-values of
+    `coef` under `covariance`; a coefficient with no variance gets z = 0."""
+    se = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, coef / se, 0.0)
+    return se, z, np.array([normal_two_sided(v) for v in z])
+
+
 def fit_cox(
     times,
     events,
@@ -314,11 +323,7 @@ def fit_cox(
     else:
         n_iter = max_iter
 
-    covariance = np.linalg.pinv(info)
-    se = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, 0.0)
-    p = np.array([normal_two_sided(v) for v in z])
+    se, z, p = _wald(beta, np.linalg.pinv(info))
     hr = np.exp(beta)
     ci_low = np.exp(beta - 1.96 * se)
     ci_high = np.exp(beta + 1.96 * se)
@@ -482,10 +487,7 @@ def fit_aalen(times, events, X, names=None, weights=None, horizon=None) -> Aalen
 
     cumulative = np.cumsum(increments, axis=0)
     coef = cumulative[-1]
-    se = np.sqrt(np.clip(np.diag(variance), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, coef / se, 0.0)
-    p_values = np.array([normal_two_sided(v) for v in z])
+    se, z, p_values = _wald(coef, variance)
 
     # least-squares slope of each cumulative coefficient against time
     t_centered = used_times - used_times.mean()

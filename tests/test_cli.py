@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from qcausal.cli import (
     EXIT_EMPTY_MATCH,
     EXIT_FAILURE,
     EXIT_OK,
+    STAGES,
+    RunConfig,
+    _flags,
     _write_balance,
     main,
     read_pairs,
@@ -69,6 +75,28 @@ class TestGen:
         cfg.write_text("banana=1\n", encoding="utf-8")
         assert run(*gen_args(tmp_path, extra=("--config", str(cfg)))) == EXIT_FAILURE
 
+    def test_command_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "command.cfg"
+        cfg.write_text("n=100\ncommand=survival\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(*gen_args(out, extra=("--config", str(cfg)))) == EXIT_FAILURE
+        assert "config line 2: unknown key 'command'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_hash_does_not_depend_on_the_spelling_of_n(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("gen", "--out-dir", str(a), "--n", "0800") == EXIT_OK
+        assert run("gen", "--out-dir", str(b), "--n", "800") == EXIT_OK
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (a, b)]
+        assert manifests[0]["config"]["n"] == 800
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+
+    def test_n_that_is_not_an_integer(self, tmp_path, capsys):
+        assert run("gen", "--out-dir", str(tmp_path), "--n", "abc") == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "qcausal gen: --n must be an integer, got 'abc'" in err
+        assert "invalid literal" not in err
+
 
 class TestConfigValues:
     """A config value that is out of range or misspelled ends the run with
@@ -117,6 +145,39 @@ class TestConfigValues:
         code, err = self.run_pipeline(tmp_path, capsys, f"{key}={value}")
         assert code == EXIT_FAILURE
         assert f"qcausal pipeline: {key} must be finite" in err
+        assert not (tmp_path / "out" / "cohort.csv").exists()
+
+    def test_negative_seed_from_a_flag(self, tmp_path, capsys):
+        assert run("gen", "--out-dir", str(tmp_path), "--seed", "-1") == EXIT_FAILURE
+        assert "qcausal gen: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "cohort.csv").exists()
+
+    def test_negative_seed_from_a_config_line(self, tmp_path, capsys):
+        code, err = self.run_pipeline(tmp_path, capsys, "seed=-3")
+        assert code == EXIT_FAILURE
+        assert "qcausal pipeline: seed must be >= 0, got -3" in err
+        assert not (tmp_path / "out" / "cohort.csv").exists()
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--shots", "shots", "1.5"),
+        ("--noise-p", "noise_p", "x"),
+        ("--alpha", "alpha", "1e-3x"),
+        ("--n", "n", "abc"),
+    ])
+    def test_flag_and_config_line_read_a_value_alike(self, tmp_path, capsys, flag, key, value):
+        base = ("pipeline", "--out-dir", str(tmp_path / "out"))
+        assert run(*base, flag, value) == EXIT_FAILURE
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "values.cfg"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        assert run(*base, "--config", str(cfg)) == EXIT_FAILURE
+        from_line = capsys.readouterr().err
+        flag_prefix = f"qcausal pipeline: {flag} "
+        line_prefix = f"qcausal pipeline: config line 1: {key} "
+        assert from_flag.startswith(flag_prefix), from_flag
+        assert from_line.startswith(line_prefix), from_line
+        assert from_flag[len(flag_prefix):] == from_line[len(line_prefix):]
+        assert f"got {value!r}" in from_flag
         assert not (tmp_path / "out" / "cohort.csv").exists()
 
     def test_negative_genetic_generations(self, tmp_path, capsys):
@@ -802,3 +863,14 @@ class TestBalanceRecord:
             assert payload["effective_sample_size"][arm] == pytest.approx(expected, rel=1e-12)
             assert payload["effective_sample_size"][arm] <= len(wa)
         assert payload["max_weight"] == w.max()
+
+
+def test_readme_lists_every_option_without_a_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"these options that have no flag:(.*?)\.", readme, re.S)
+    assert listed, "README lost its list of config-only options"
+    keys = re.findall(r"`(\w+)`", listed.group(1))
+    flagged = set().union(*(_flags(command) for command in STAGES))
+    options = {f.name for f in fields(RunConfig)} - {"command", "out_dir"} - flagged
+    assert len(keys) == len(set(keys))
+    assert set(keys) == options
