@@ -8,9 +8,12 @@ Prints an AUC / log-loss / Brier / accuracy table like:
 Each model is fitted and scored by the same code as `qcausal fit-ps`, on an
 arm-stratified subsample of each size; the metrics are computed on that
 subsample.  Circuit models train with CMA-ES; --max-evals caps their budget.
+Sizes above --n are skipped and --n itself always runs, once.  A size the
+models cannot be fitted on ends the script with exit code 1 and the reason.
 """
 
 import argparse
+import sys
 
 from qcausal import cli, data, metrics
 
@@ -26,32 +29,37 @@ def main():
     args = parser.parse_args()
 
     cohort = data.generate_synthetic_cohort(data.SynthConfig(n=args.n, seed=args.seed))
-    sizes = [s for s in args.sizes if s <= args.n] + [args.n]
+    sizes = dict.fromkeys([s for s in args.sizes if s <= args.n] + [args.n])
 
     print(f"{'sample':>6} {'model':>14} {'auc':>6} {'logloss':>8} {'brier':>6} {'acc':>6}")
     for size in sizes:
-        idx = cli._subsample_indices(cohort.z, str(size), cli._stage_seed(args.seed, 1))
-        labels = cohort.z[idx]
-        for model in ("qnn_sam", "qnn_f_backend", "qnn_exact", "lr", "gbm"):
-            config = cli.RunConfig(
-                command="fit-ps",
-                out_dir="",
-                seed=args.seed,
-                model=model,
-                shots=args.shots,
-                noise_p=args.noise_p,
-                max_evaluations=args.max_evals,
-            )
-            config.validate()
-            scores = cli._fit_scores(config, cohort, idx)[0][idx]
-            _, auc = metrics.roc_and_auc(scores, labels)
-            print(
-                f"{size:>6} {model:>14} {auc:>6.3f} "
-                f"{metrics.log_loss(scores, labels):>8.3f} "
-                f"{metrics.brier(scores, labels):>6.3f} "
-                f"{metrics.accuracy(scores, labels):>6.3f}"
-            )
+        try:
+            idx = cli._subsample_indices(cohort.z, str(size), cli._stage_seed(args.seed, 1))
+            labels = cohort.z[idx]
+            for model in ("qnn_sam", "qnn_f_backend", "qnn_exact", "lr", "gbm"):
+                config = cli.RunConfig(
+                    command="fit-ps",
+                    out_dir="",
+                    seed=args.seed,
+                    model=model,
+                    shots=args.shots,
+                    noise_p=args.noise_p,
+                    max_evaluations=args.max_evals,
+                )
+                config.validate()
+                scores = cli._fit_scores(config, cohort, idx)[0][idx]
+                _, auc = metrics.roc_and_auc(scores, labels)
+                print(
+                    f"{size:>6} {model:>14} {auc:>6.3f} "
+                    f"{metrics.log_loss(scores, labels):>8.3f} "
+                    f"{metrics.brier(scores, labels):>6.3f} "
+                    f"{metrics.accuracy(scores, labels):>6.3f}"
+                )
+        except ValueError as exc:
+            print(f"compare_propensity_models: sample size {size}: {exc}", file=sys.stderr)
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -268,15 +268,14 @@ def _format_value(spec: VariableSpec, value: float) -> str:
 
 def write_cohort(cohort: Cohort, path) -> None:
     """Write CSV that `load_cohort` reads back to an identical cohort."""
-    names = cohort.schema.names()
+    columns = [
+        [_format_value(spec, value) for value in cohort.columns[spec.name].tolist()]
+        for spec in cohort.schema.variables
+    ]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(names)
-        for i in range(cohort.n):
-            writer.writerow(
-                _format_value(cohort.schema.variable(name), cohort.columns[name][i])
-                for name in names
-            )
+        writer.writerow(cohort.schema.names())
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

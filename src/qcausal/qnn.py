@@ -191,6 +191,10 @@ def _check_training_arrays(X, y, w):
         raise ValueError("X must be a 2-d row matrix")
     if len(y) != len(X) or len(w) != len(X):
         raise ValueError("X, y, w must have equal row counts")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("labels must be finite")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
     return X, y, w

@@ -4,15 +4,15 @@ The circuit family is deliberately small: per re-uploading layer, a Hadamard
 on every qubit, a data-dependent phase exp(+i * x_i * Z_i) on qubit i, and an
 optional trainable RZ/RY pair per qubit.  There are no entangling gates, so
 every state is a product of one-qubit states: `encode` folds each qubit's
-gates over many feature rows at once, and `apply_circuit` builds the dense
-statevector with `kron`.  Observables H = a*I + sum_{i,P} b_{i,P} * P_i are
-read off each qubit's Bloch vector r_i: <H> = a + sum_i b_i . r_i and
+gates over many feature rows at once, and `apply_circuit` is its one-row case,
+which `expectation` and `variance` read.  Observables
+H = a*I + sum_{i,P} b_{i,P} * P_i are read off each qubit's Bloch vector r_i:
+<H> = a + sum_i b_i . r_i and
 Var(H) = sum_i (|b_i|^2 - (b_i . r_i)^2).  Each sampled Pauli term counts
 Binomial(shots, (1 - r_{i,P}) / 2) outcomes -1.  Gate noise (a uniformly
 random Pauli after each gate with probability p) is the depolarizing channel,
 which shrinks r_i by (1 - 4p/3) per gate on qubit i, so noisy sampling draws
-the same outcome law as simulating the noise shot by shot.  `expectation` and
-`variance` stay exact for any `Statevector`, product or not.
+the same outcome law as simulating the noise shot by shot.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ AXES = "XYZ"
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = {"X": _X, "Y": _Y, "Z": _Z}
 
 
 def _gate_matrix(name: str, angle) -> np.ndarray:
@@ -65,32 +61,6 @@ class GateOp:
 
 
 @dataclass(frozen=True)
-class Statevector:
-    """Normalized complex amplitudes over the 2**n_qubits basis states.
-
-    Qubit 0 is the least significant bit of the basis index.
-    """
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
 class EncodingCircuit:
     """Layered angle-encoding circuit.
 
@@ -98,16 +68,12 @@ class EncodingCircuit:
     then (when `variational_angles` is given) an RZ and an RY on each qubit.
     `variational_angles` is laid out layer-major, qubit-minor, (rz, ry) last:
     index = layer*2n + 2*qubit + {0: rz, 1: ry}.
-
-    `include_hadamards=False` is a degenerate test-only mode that drops the
-    Hadamards so an all-zero circuit acts as the identity.
     """
 
     n_qubits: int
     layers: int
     feature_angles: np.ndarray
     variational_angles: np.ndarray | None = None
-    include_hadamards: bool = True
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -138,8 +104,7 @@ class EncodingCircuit:
         ops: list[GateOp] = []
         n = self.n_qubits
         for layer in range(self.layers):
-            if self.include_hadamards:
-                ops.extend(GateOp("h", q) for q in range(n))
+            ops.extend(GateOp("h", q) for q in range(n))
             ops.extend(
                 GateOp("zphase", q, float(self.feature_angles[q])) for q in range(n)
             )
@@ -184,13 +149,6 @@ class PauliSumObservable:
                 raise ValueError("Pauli coefficients must be finite")
             coeffs[(int(qubit), axis)] = float(value)
         object.__setattr__(self, "pauli_coeffs", coeffs)
-
-    def terms(self) -> list[tuple[int, str, float]]:
-        """Pauli terms sorted by (qubit, axis X<Y<Z); the canonical order."""
-        return [
-            (q, ax, self.pauli_coeffs[(q, ax)])
-            for q, ax in sorted(self.pauli_coeffs, key=lambda k: (k[0], AXES.index(k[1])))
-        ]
 
     def max_qubit(self) -> int:
         return max((q for q, _ in self.pauli_coeffs), default=-1)
@@ -273,8 +231,8 @@ class ProductStates:
     ) -> np.ndarray:
         """Shot estimate of <H> per row, each nonzero Pauli term measured `shots` times.
 
-        All rows x terms are drawn in one binomial call on `rng`, terms in the
-        canonical order of `PauliSumObservable.terms`.
+        All rows x terms are drawn in one binomial call on `rng`, terms ordered
+        by qubit, then axis X < Y < Z.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -302,9 +260,7 @@ def _fold(ops: Iterable[tuple], n_qubits: int, rows: int) -> ProductStates:
     return ProductStates(amps, counts)
 
 
-def encode(
-    X, layers: int = 1, variational=None, include_hadamards: bool = True
-) -> ProductStates:
+def encode(X, layers: int = 1, variational=None) -> ProductStates:
     """States of the layered encoding circuit for every feature row of X.
 
     X is (rows, n_qubits).  `variational` is either one angle vector shared by
@@ -331,8 +287,7 @@ def encode(
     def ops():
         every = slice(None)
         for layer in range(layers):
-            if include_hadamards:
-                yield "h", every, 0.0
+            yield "h", every, 0.0
             yield "zphase", every, X
             if angles is not None:
                 yield "rz", every, angles[..., layer, :, 0]
@@ -341,18 +296,26 @@ def encode(
     return _fold(ops(), n, rows)
 
 
-def _circuit_states(circuit: EncodingCircuit) -> ProductStates:
-    return encode(
-        circuit.feature_angles[None, :],
-        circuit.layers,
-        circuit.variational_angles,
-        circuit.include_hadamards,
-    )
+def apply_circuit(circuit: EncodingCircuit) -> ProductStates:
+    """The one-row product state the circuit produces from the all-zeros state."""
+    return encode(circuit.feature_angles[None, :], circuit.layers, circuit.variational_angles)
 
 
-def apply_circuit(circuit: EncodingCircuit) -> Statevector:
-    """Statevector produced by the circuit from the all-zeros state."""
-    return Statevector(circuit.n_qubits, _circuit_states(circuit).dense())
+def _one_row(state: ProductStates) -> ProductStates:
+    rows = state.amplitudes.shape[0]
+    if rows != 1:
+        raise ValueError(f"expected the one-row state of a single circuit, got {rows} rows")
+    return state
+
+
+def expectation(state: ProductStates, obs: PauliSumObservable) -> float:
+    """Exact <H> of a one-row state, such as `apply_circuit` returns."""
+    return float(_one_row(state).expectation(obs)[0])
+
+
+def variance(state: ProductStates, obs: PauliSumObservable) -> float:
+    """Exact Var(H) of a one-row state, such as `apply_circuit` returns."""
+    return float(_one_row(state).variance(obs)[0])
 
 
 def sample_expectation(
@@ -374,50 +337,4 @@ def sample_noisy_expectation(
     With all noise probabilities zero this is `sample_expectation`.
     """
     rng = np.random.default_rng(seed)
-    return float(_circuit_states(circuit).sample(obs, shots, rng, noise)[0])
-
-
-# ---------------------------------------------------------------------------
-# exact observables on a general statevector
-# ---------------------------------------------------------------------------
-
-
-def _apply_matrix(states: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 matrix to `qubit` of states shaped (..., 2**n)."""
-    lead = states.shape[:-1]
-    v = states.reshape(lead + (2,) * n)
-    ax = v.ndim - 1 - qubit  # qubit 0 is the least significant bit
-    v = np.moveaxis(v, ax, -1)
-    v = v @ mat.T
-    v = np.moveaxis(v, -1, ax)
-    return v.reshape(lead + (2**n,))
-
-
-def apply_observable(amps: np.ndarray, n: int, obs: PauliSumObservable) -> np.ndarray:
-    """H|psi> for the Pauli-sum observable."""
-    out = obs.identity_coeff * amps
-    for qubit, axis, coeff in obs.terms():
-        out = out + coeff * _apply_matrix(amps, _PAULI[axis], qubit, n)
-    return out
-
-
-def expectation(state: Statevector, obs: PauliSumObservable) -> float:
-    """<H> = <psi| H |psi>, computed exactly from amplitudes."""
-    _check_bounds(obs, state.n_qubits)
-    hpsi = apply_observable(state.amplitudes, state.n_qubits, obs)
-    return float(np.real(np.vdot(state.amplitudes, hpsi)))
-
-
-def variance(state: Statevector, obs: PauliSumObservable) -> float:
-    """Var(H) = <H^2> - <H>^2 >= 0.
-
-    Computed as ||(H - <H>) psi||^2 by applying H to the state, which is exact
-    up to rounding, avoids the cancellation of the naive two-term form, and
-    needs no symbolic expansion of the squared operator.
-    """
-    _check_bounds(obs, state.n_qubits)
-    hpsi = apply_observable(state.amplitudes, state.n_qubits, obs)
-    e1 = np.real(np.vdot(state.amplitudes, hpsi))
-    resid = hpsi - e1 * state.amplitudes
-    return float(np.real(np.vdot(resid, resid)))
-
+    return float(apply_circuit(circuit).sample(obs, shots, rng, noise)[0])

@@ -159,6 +159,16 @@ class TestLosses:
         with pytest.raises(ValueError):
             loss_fit(initial_params(config), [[0.1]], [1.0], [0.0], config)
 
+    @pytest.mark.parametrize("loss", [loss_fit, total_loss])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_or_label_rejected(self, loss, bad):
+        config = QnnConfig(n_qubits=1)
+        params = initial_params(config)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            loss(params, [[0.1], [0.2]], [1, 0], [bad, 1], config)
+        with pytest.raises(ValueError, match="labels must be finite"):
+            loss(params, [[0.1], [0.2]], [bad, 0], [1, 1], config)
+
     def test_length_mismatch_rejected(self):
         config = QnnConfig(n_qubits=1)
         with pytest.raises(ValueError):
@@ -414,6 +424,13 @@ class TestEncodingHoist:
         assert fitted.generations == len(fitted.trace) - 1 == (50 - 1) // lam
         assert fitted.evaluations == 1 + lam * fitted.generations
         assert fitted.stop_reason == "max_evaluations"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected_before_cmaes(self, bad):
+        X, y, w = small_task()
+        w[3] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            fit(X, y, w, config=QnnConfig(n_qubits=2))
 
     def test_training_rows_checked_before_any_evaluation(self):
         X, y, w = small_task()

@@ -11,9 +11,10 @@ from qcausal.quantum import (
     GateOp,
     NoiseModel,
     PauliSumObservable,
-    Statevector,
+    ProductStates,
     apply_circuit,
     build_feature_map,
+    encode,
     expectation,
     sample_expectation,
     sample_noisy_expectation,
@@ -25,14 +26,24 @@ def feature_state(x, layers=1, variational=None):
     return apply_circuit(build_feature_map(x, layers=layers, variational=variational))
 
 
-class TestTypes:
-    def test_statevector_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            Statevector(2, np.array([1.0, 0.0]))
+def zeros_state(n_qubits=1):
+    """|0...0>: the product state of an empty gate list."""
+    return oracles._gate_states([], n_qubits)
 
-    def test_statevector_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            Statevector(1, np.array([1.0, 1.0]))
+
+class TestTypes:
+    def test_apply_circuit_returns_one_row_product_state(self):
+        state = feature_state([0.3, 0.1], layers=2)
+        assert isinstance(state, ProductStates)
+        assert state.amplitudes.shape == (1, 2, 2)
+
+    def test_single_circuit_readers_reject_many_rows(self):
+        states = encode(np.zeros((2, 1)))
+        obs = PauliSumObservable(0.0, {(0, "X"): 1.0})
+        with pytest.raises(ValueError, match="2 rows"):
+            expectation(states, obs)
+        with pytest.raises(ValueError, match="2 rows"):
+            variance(states, obs)
 
     def test_feature_map_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -60,11 +71,11 @@ class TestTypes:
 class TestFeatureMap:
     def test_single_qubit_zero_angle_is_plus_state(self):
         state = feature_state([0.0])
-        assert np.allclose(state.amplitudes, [math.sqrt(0.5), math.sqrt(0.5)])
+        assert np.allclose(state.dense(), [math.sqrt(0.5), math.sqrt(0.5)])
 
     def test_two_qubit_zero_angles_uniform(self):
         state = feature_state([0.0, 0.0])
-        assert np.allclose(state.amplitudes, [0.5] * 4)
+        assert np.allclose(state.dense(), [0.5] * 4)
 
     def test_phase_convention_gives_cos_2x_for_x_expectation(self):
         # <+| e^{-ixZ} X e^{+ixZ} |+> = cos(2x)
@@ -74,11 +85,10 @@ class TestFeatureMap:
         assert expectation(state, obs) == pytest.approx(0.16997, abs=1e-5)
 
     def test_identity_circuit_returns_zeros_state(self):
-        circuit = EncodingCircuit(
-            2, 1, np.zeros(2), np.zeros(4), include_hadamards=False
-        )
-        state = apply_circuit(circuit)
-        assert np.allclose(state.amplitudes, [1, 0, 0, 0])
+        # the layer's gates without its Hadamards, every angle zero
+        circuit = EncodingCircuit(2, 1, np.zeros(2), np.zeros(4))
+        gates = [op for op in circuit.gate_ops() if op.name != "h"]
+        assert np.allclose(oracles.run_gates(gates, 2), [1, 0, 0, 0])
 
     def test_empty_gate_list_is_identity(self):
         amps = oracles.run_gates([], 3)
@@ -87,7 +97,7 @@ class TestFeatureMap:
 
 class TestExpectation:
     def test_z_eigenstate(self):
-        state = Statevector(1, np.array([1.0, 0.0]))
+        state = zeros_state()
         assert expectation(state, PauliSumObservable(0.0, {(0, "Z"): 1.0})) == 1.0
 
     def test_plus_state_z_is_zero(self):
@@ -111,7 +121,7 @@ class TestExpectation:
 
 class TestVariance:
     def test_eigenstate_variance_zero(self):
-        state = Statevector(1, np.array([1.0, 0.0]))
+        state = zeros_state()
         assert variance(state, PauliSumObservable(0.0, {(0, "Z"): 1.0})) == 0.0
 
     def test_plus_state_z_variance_one(self):
@@ -141,7 +151,7 @@ class TestVariance:
 )
 def test_normalization_property(x, layers):
     state = feature_state(x, layers=layers)
-    assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-10
+    assert abs(np.sum(np.abs(state.dense()) ** 2) - 1.0) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,9 +176,9 @@ class TestSampling:
             sample_expectation(self.circuit, self.obs, 0, 1)
 
     def test_eigenstate_term_is_exact(self):
-        circuit = EncodingCircuit(1, 1, np.zeros(1), include_hadamards=False)
         obs = PauliSumObservable(0.1, {(0, "Z"): 2.0})
-        assert sample_expectation(circuit, obs, 17, 3) == pytest.approx(2.1, abs=1e-15)
+        est = oracles.sample_noisy_expectation_from_gates([], 1, obs, NoiseModel(), 17, 3)
+        assert est == pytest.approx(2.1, abs=1e-15)
 
     def test_determinism(self):
         a = sample_expectation(self.circuit, self.obs, 1024, seed=42)
@@ -216,10 +226,9 @@ class TestNoisySampling:
             ) == sample_expectation(circuit, obs, 512, seed)
 
     def test_half_readout_flip_symmetrizes_to_zero(self):
-        circuit = EncodingCircuit(1, 1, np.zeros(1), include_hadamards=False)
         obs = PauliSumObservable(0.0, {(0, "Z"): 1.0})
         noise = NoiseModel(readout_flip_prob=0.5)
-        est = sample_noisy_expectation(circuit, obs, noise, 200_000, seed=9)
+        est = oracles.sample_noisy_expectation_from_gates([], 1, obs, noise, 200_000, seed=9)
         assert abs(est) < 0.01
 
     def test_depolarizing_attenuates_monotonically(self):

@@ -25,6 +25,20 @@ def test_compare_propensity_models():
     assert ["80", "gbm"] in [row[:2] for row in rows]
 
 
+def test_compare_propensity_models_runs_each_size_once():
+    result = run_script("compare_propensity_models.py", "--n", "80", "--max-evals", "5", "--sizes", "80")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split()[:2] for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == 5 and rows.count(["80", "gbm"]) == 1
+
+
+def test_compare_propensity_models_unfittable_size_exits_1():
+    result = run_script("compare_propensity_models.py", "--n", "80", "--max-evals", "5", "--sizes", "1")
+    assert result.returncode == 1
+    assert "sample size 1" in result.stderr and "zero range" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_run_pipeline(tmp_path):
     config = tmp_path / "fast.cfg"
     config.write_text("max_evaluations=20\n", encoding="utf-8")
