@@ -9,7 +9,7 @@ Subpackages map onto the pipeline stages:
 - `metrics`: ROC/AUC, log-loss, Brier score, accuracy
 - `adjust`: matching (greedy, optimal, genetic), weighting schemes, balance reports
 - `survival`: Kaplan-Meier, log-rank, Cox proportional hazards, additive hazards
-- `data`: cohort schema and CSV I/O, angle encoding, the synthetic cohort generator
+- `data`: the cohort layout and CSV I/O, angle encoding, the synthetic cohort generator
 - `cli`: the `qcausal` command-line pipeline
 """
 

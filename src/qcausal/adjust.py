@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from ._tails import chi2_sf, t_sf
-from .data import Cohort
+from .data import Cohort, variable
 from .metrics import is_binary
 
 SCHEMES = ("ate", "att", "overlap", "matching")
@@ -519,7 +519,7 @@ def balance_report(
 
     rows = []
     for name in covariates:
-        continuous = cohort.schema.variable(name).kind == "continuous"
+        continuous = variable(name).kind == "continuous"
         test = two_sample_t_test if continuous else chi_square_test
         values = cohort.columns[name]
         smd_before, p_before = smd(values, z), test(values, z)

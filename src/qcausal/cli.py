@@ -302,6 +302,8 @@ def _subsample_indices(z: np.ndarray, size: str, seed: int) -> np.ndarray:
     if size == "full":
         return np.arange(len(z))
     target = int(size)
+    if target <= 0:
+        raise ValueError(f"sample size must be positive, got {target}")
     if target >= len(z):
         return np.arange(len(z))
     rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
-"""Cohort schema, CSV ingestion, feature-to-angle encoding, synthetic cohorts.
+"""Cohort layout, CSV ingestion, feature-to-angle encoding, synthetic cohorts.
 
-The default schema mirrors a two-arm surgical cohort: demographics and tumor
-stage as covariates, a Technique column carrying the treatment arm
+The cohort layout, `SCHEMA`, mirrors a two-arm surgical cohort: demographics
+and tumor stage as covariates, a Technique column carrying the treatment arm
 (laparoscopic = treated, open = control, conversions excluded), a survival
 time in months, and an event flag.  The synthetic generator draws a
 confounded cohort in which stage and sex drive both treatment assignment and
@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-KINDS = ("continuous", "binary", "ordinal", "treatment")
 TREATED_LABEL = "laparoscopic"
 CONTROL_LABEL = "open"
 CONVERSION_LABEL = "conversion"
@@ -26,24 +25,17 @@ MISSING_TOKENS = {"", "NA", "NaN", "nan", "na"}
 
 
 class CohortError(ValueError):
-    """Schema or value violation; message carries row and column context."""
+    """Layout or value violation; message carries row and column context."""
 
 
 @dataclass(frozen=True)
 class VariableSpec:
+    """One cohort column: kind is continuous, binary, ordinal or treatment."""
+
     name: str
     kind: str
     vmin: float | None = None
     vmax: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise CohortError(f"unknown kind {self.kind!r} for variable {self.name!r}")
-        if self.kind == "binary":
-            object.__setattr__(self, "vmin", 0.0)
-            object.__setattr__(self, "vmax", 1.0)
-        if self.kind == "ordinal" and (self.vmin is None or self.vmax is None):
-            raise CohortError(f"ordinal variable {self.name!r} needs a min and max")
 
     def parse(self, token: str, row: int):
         """Validate one CSV token; None marks a missing value."""
@@ -54,8 +46,6 @@ class VariableSpec:
                 return 1.0
             if token == CONTROL_LABEL:
                 return 0.0
-            if token == CONVERSION_LABEL:
-                return None  # excluded from the two-arm analysis
             raise CohortError(
                 f"row {row}: column {self.name!r} has unknown technique {token!r}"
             )
@@ -83,73 +73,26 @@ class VariableSpec:
         return value
 
 
-@dataclass(frozen=True)
-class CohortSchema:
-    variables: tuple[VariableSpec, ...]
-
-    def __post_init__(self):
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise CohortError("variable names must be unique")
-        if sum(v.kind == "treatment" for v in self.variables) != 1:
-            raise CohortError("schema needs exactly one treatment variable")
-
-    def names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
-    def variable(self, name: str) -> VariableSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise CohortError(f"unknown variable {name!r}")
-
-    @property
-    def treatment_name(self) -> str:
-        return next(v.name for v in self.variables if v.kind == "treatment")
+SCHEMA = (
+    VariableSpec("Age", "continuous", 18.0, 100.0),
+    VariableSpec("Sex", "binary", 0.0, 1.0),
+    VariableSpec("BMI", "continuous", 10.0, 60.0),
+    VariableSpec("ASA", "ordinal", 1, 4),
+    VariableSpec("Stage", "ordinal", 1, 4),
+    VariableSpec("Technique", "treatment"),
+    VariableSpec("Survival_Time", "continuous", 0.0, None),
+    VariableSpec("Event", "binary", 0.0, 1.0),
+)
+NAMES = tuple(spec.name for spec in SCHEMA)
+_SPECS = dict(zip(NAMES, SCHEMA))
 
 
-def default_schema() -> CohortSchema:
-    return CohortSchema(
-        (
-            VariableSpec("Age", "continuous", 18.0, 100.0),
-            VariableSpec("Sex", "binary"),
-            VariableSpec("BMI", "continuous", 10.0, 60.0),
-            VariableSpec("ASA", "ordinal", 1, 4),
-            VariableSpec("Stage", "ordinal", 1, 4),
-            VariableSpec("Technique", "treatment"),
-            VariableSpec("Survival_Time", "continuous", 0.0, None),
-            VariableSpec("Event", "binary"),
-        )
-    )
-
-
-def load_schema(path) -> CohortSchema:
-    """Parse the declarative schema format: `name kind min max` per line.
-
-    `-` stands for an absent bound; blank lines and `#` comments are skipped.
-    """
-    variables = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise CohortError(f"schema line {lineno}: expected 4 fields, got {len(parts)}")
-            name, kind, lo, hi = parts
-            vmin = None if lo == "-" else float(lo)
-            vmax = None if hi == "-" else float(hi)
-            variables.append(VariableSpec(name, kind, vmin, vmax))
-    return CohortSchema(tuple(variables))
-
-
-def save_schema(schema: CohortSchema, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for v in schema.variables:
-            lo = "-" if v.vmin is None else repr(float(v.vmin))
-            hi = "-" if v.vmax is None else repr(float(v.vmax))
-            handle.write(f"{v.name} {v.kind} {lo} {hi}\n")
+def variable(name: str) -> VariableSpec:
+    """The layout's spec for a column; CohortError names an unknown one."""
+    try:
+        return _SPECS[name]
+    except KeyError:
+        raise CohortError(f"unknown variable {name!r}") from None
 
 
 @dataclass
@@ -163,25 +106,24 @@ class LoadReport:
 
 @dataclass
 class Cohort:
-    """Column store of schema-valid rows; treatment held as 0/1."""
+    """Column store of valid rows in the cohort layout; treatment held as 0/1."""
 
-    schema: CohortSchema
     columns: dict[str, np.ndarray]
 
     def __post_init__(self):
         lengths = {len(col) for col in self.columns.values()}
-        if set(self.columns) != set(self.schema.names()):
+        if set(self.columns) != set(NAMES):
             raise CohortError("columns do not match the schema")
         if len(lengths) > 1:
             raise CohortError("ragged columns")
 
     @property
     def n(self) -> int:
-        return len(self.columns[self.schema.treatment_name])
+        return len(self.columns["Technique"])
 
     @property
     def z(self) -> np.ndarray:
-        return self.columns[self.schema.treatment_name]
+        return self.columns["Technique"]
 
     @property
     def times(self) -> np.ndarray:
@@ -196,16 +138,15 @@ class Cohort:
 
     def subset(self, indices) -> "Cohort":
         indices = np.asarray(indices)
-        return Cohort(self.schema, {k: v[indices] for k, v in self.columns.items()})
+        return Cohort({k: v[indices] for k, v in self.columns.items()})
 
 
-def load_cohort(path, schema: CohortSchema | None = None) -> tuple[Cohort, LoadReport]:
+def load_cohort(path) -> tuple[Cohort, LoadReport]:
     """Read and validate a cohort CSV.
 
-    Rows with missing values in any schema column are dropped and counted;
+    Rows with missing values in any column are dropped and counted;
     type or range violations raise CohortError naming the row and column.
     """
-    schema = schema or default_schema()
     report = LoadReport()
     kept: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -214,17 +155,16 @@ def load_cohort(path, schema: CohortSchema | None = None) -> tuple[Cohort, LoadR
             header = next(reader)
         except StopIteration:
             raise CohortError("empty file: no header row") from None
-        expected = schema.names()
         duplicated = list(dict.fromkeys(h for i, h in enumerate(header) if h in header[:i]))
         if duplicated:
             raise CohortError(f"duplicated column(s) {duplicated}")
-        unknown = [h for h in header if h not in expected]
+        unknown = [h for h in header if h not in NAMES]
         if unknown:
             raise CohortError(f"unknown column(s) {unknown} not in schema")
-        absent = [name for name in expected if name not in header]
+        absent = [name for name in NAMES if name not in header]
         if absent:
             raise CohortError(f"schema column(s) {absent} missing from file")
-        positions = {name: header.index(name) for name in expected}
+        positions = {name: header.index(name) for name in NAMES}
 
         for rownum, row in enumerate(reader, start=2):
             report.n_rows += 1
@@ -233,7 +173,7 @@ def load_cohort(path, schema: CohortSchema | None = None) -> tuple[Cohort, LoadR
             values = []
             missing = None
             conversion = False
-            for spec in schema.variables:
+            for spec in SCHEMA:
                 token = row[positions[spec.name]].strip()
                 if spec.kind == "treatment" and token == CONVERSION_LABEL:
                     conversion = True
@@ -253,9 +193,9 @@ def load_cohort(path, schema: CohortSchema | None = None) -> tuple[Cohort, LoadR
             kept.append(values)
 
     report.n_loaded = len(kept)
-    data = np.asarray(kept, dtype=float).reshape(len(kept), len(schema.variables))
-    columns = {spec.name: data[:, i].copy() for i, spec in enumerate(schema.variables)}
-    return Cohort(schema, columns), report
+    data = np.asarray(kept, dtype=float).reshape(len(kept), len(SCHEMA))
+    columns = {name: data[:, i].copy() for i, name in enumerate(NAMES)}
+    return Cohort(columns), report
 
 
 def _format_value(spec: VariableSpec, value: float) -> str:
@@ -270,11 +210,11 @@ def write_cohort(cohort: Cohort, path) -> None:
     """Write CSV that `load_cohort` reads back to an identical cohort."""
     columns = [
         [_format_value(spec, value) for value in cohort.columns[spec.name].tolist()]
-        for spec in cohort.schema.variables
+        for spec in SCHEMA
     ]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(cohort.schema.names())
+        writer.writerow(NAMES)
         writer.writerows(zip(*columns))
 
 
@@ -300,7 +240,7 @@ class AngleEncoder:
 def encode_features(cohort: Cohort, features: Sequence[str]) -> tuple[np.ndarray, AngleEncoder]:
     """Min-max encode named covariates to rotation angles; binary maps onto {0, pi}."""
     for name in features:
-        cohort.schema.variable(name)  # raises on unknown names
+        variable(name)  # raises on unknown names
     matrix = cohort.matrix(features)
     mins = matrix.min(axis=0)
     maxs = matrix.max(axis=0)
@@ -377,7 +317,7 @@ def true_propensity(config: SynthConfig, stage, sex) -> np.ndarray:
 
 
 def generate_synthetic_cohort(config: SynthConfig) -> Cohort:
-    """Draw a schema-valid cohort; fully determined by config.seed."""
+    """Draw a cohort in the cohort layout; fully determined by config.seed."""
     rng = np.random.default_rng(config.seed)
     n = config.n
 
@@ -402,7 +342,6 @@ def generate_synthetic_cohort(config: SynthConfig) -> Cohort:
     months = np.maximum(np.ceil(observed), 1.0)  # month granularity creates ties
 
     return Cohort(
-        default_schema(),
         {
             "Age": age,
             "Sex": sex,

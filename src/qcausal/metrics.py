@@ -65,26 +65,17 @@ def roc_and_auc(scores, labels) -> tuple[RocCurve, float]:
     sorted_scores = scores[order]
     sorted_labels = labels[order]
 
-    thresholds = [np.inf]
-    fpr = [0.0]
-    tpr = [0.0]
-    tp = fp = 0
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j < len(sorted_scores) and sorted_scores[j] == sorted_scores[i]:
-            tp += sorted_labels[j] == 1.0
-            fp += sorted_labels[j] == 0.0
-            j += 1
-        thresholds.append(float(sorted_scores[i]))
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        i = j
-
-    fpr = np.array(fpr)
-    tpr = np.array(tpr)
+    # one ROC point per run of tied scores, counted through the run's last
+    # subject; its threshold is the run's first score (0.0 and -0.0 tie)
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), len(scores) - 1)
+    tp = np.cumsum(sorted_labels)[ends]
+    fp = ends + 1 - tp
+    starts = np.append(0, ends[:-1] + 1)
+    thresholds = np.append(np.inf, sorted_scores[starts])
+    fpr = np.append(0.0, fp / n_neg)
+    tpr = np.append(0.0, tp / n_pos)
     auc = float(np.sum(0.5 * (tpr[1:] + tpr[:-1]) * np.diff(fpr)))
-    return RocCurve(np.array(thresholds), fpr, tpr), auc
+    return RocCurve(thresholds, fpr, tpr), auc
 
 
 def log_loss(probs, labels) -> float:

@@ -20,7 +20,7 @@ from qcausal.cli import (
     read_scores,
     read_weights,
 )
-from qcausal.data import load_cohort
+from qcausal.data import NAMES, load_cohort, variable
 
 
 def run(*argv):
@@ -386,7 +386,7 @@ class TestSurvival:
         # duplicate the control arm into a fake treated arm: identical groups
         cohort, _ = load_cohort(out / "cohort.csv")
         rows = []
-        header = cohort.schema.names()
+        header = NAMES
         for i in range(cohort.n):
             if cohort.z[i] == 0.0:
                 base = {name: cohort.columns[name][i] for name in header}
@@ -404,7 +404,7 @@ class TestSurvival:
                         if name == "Technique"
                         else (
                             repr(float(row[name]))
-                            if cohort.schema.variable(name).kind == "continuous"
+                            if variable(name).kind == "continuous"
                             else str(int(row[name]))
                         )
                         for name in header

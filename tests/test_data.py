@@ -1,19 +1,19 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcausal.data import (
+    NAMES,
     Cohort,
     CohortError,
     SynthConfig,
-    VariableSpec,
-    default_schema,
     encode_features,
     generate_synthetic_cohort,
     load_cohort,
-    load_schema,
-    save_schema,
+    variable,
     write_cohort,
 )
 
@@ -78,6 +78,54 @@ class TestLoad:
         with pytest.raises(CohortError, match="robotic"):
             load_cohort(write_csv(tmp_path, [GOOD_ROW.replace("laparoscopic", "robotic")]))
 
+    def test_binary_out_of_range_rejected(self, tmp_path):
+        bad = GOOD_ROW.replace("66.0,1,", "66.0,2,")  # Sex = 2
+        with pytest.raises(CohortError) as err:
+            load_cohort(write_csv(tmp_path, [bad]))
+        assert str(err.value) == "row 2: column 'Sex' value '2' outside [0.0, 1.0]"
+
+    def test_fractional_ordinal_rejected(self, tmp_path):
+        bad = GOOD_ROW.replace(",2,3,", ",2,2.5,")  # Stage = 2.5
+        with pytest.raises(CohortError) as err:
+            load_cohort(write_csv(tmp_path, [bad]))
+        assert str(err.value) == "row 2: column 'Stage' must be an integer, got '2.5'"
+
+
+class TestLayout:
+    def columns(self, n=5):
+        return {name: np.zeros(n) for name in NAMES}
+
+    def test_names_follow_file_order(self):
+        assert ",".join(NAMES) == HEADER
+
+    def test_column_set_must_be_the_layout(self):
+        extra = dict(self.columns(), Height=np.zeros(5))
+        short = self.columns()
+        del short["Event"]
+        for columns in (extra, short):
+            with pytest.raises(CohortError, match="columns do not match the schema"):
+                Cohort(columns)
+
+    def test_ragged_columns_rejected(self):
+        columns = self.columns()
+        columns["BMI"] = np.zeros(4)
+        with pytest.raises(CohortError, match="ragged columns"):
+            Cohort(columns)
+
+    def test_unknown_variable_rejected(self):
+        assert variable("Stage").kind == "ordinal"
+        with pytest.raises(CohortError) as err:
+            variable("Height")
+        assert str(err.value) == "unknown variable 'Height'"
+
+    def test_readme_lists_the_layout_columns_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        bullet = re.search(r"^- `cohort\.csv` - (.*?)(?=^- )", readme, re.S | re.M)
+        assert bullet, "README lost its cohort.csv bullet"
+        # value labels such as `laparoscopic` sit inside the parentheses
+        columns = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", bullet.group(1)))
+        assert tuple(columns) == NAMES
+
 
 class TestRoundTrip:
     def test_write_then_read_is_identity(self, tmp_path):
@@ -85,7 +133,7 @@ class TestRoundTrip:
         path = tmp_path / "out.csv"
         write_cohort(cohort, path)
         back, _ = load_cohort(path)
-        for name in cohort.schema.names():
+        for name in NAMES:
             assert np.array_equal(cohort.columns[name], back.columns[name]), name
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -96,11 +144,6 @@ class TestRoundTrip:
         write_cohort(back, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_schema_file_roundtrip(self, tmp_path):
-        path = tmp_path / "schema.txt"
-        save_schema(default_schema(), path)
-        assert load_schema(path) == default_schema()
-
 
 class TestEncode:
     def test_binary_maps_to_zero_and_pi(self):
@@ -109,11 +152,10 @@ class TestEncode:
         assert set(np.round(angles[:, 0], 12)) <= {0.0, round(math.pi, 12)}
 
     def test_midpoint_scaling(self):
-        schema = default_schema()
         cohort = generate_synthetic_cohort(SynthConfig(n=21, seed=2))
         cols = {k: v.copy() for k, v in cohort.columns.items()}
         cols["Age"] = np.linspace(40.0, 80.0, 21)
-        cohort = Cohort(schema, cols)
+        cohort = Cohort(cols)
         angles, _ = encode_features(cohort, ["Age"])
         mid = np.argmin(np.abs(cols["Age"] - 60.0))
         assert angles[mid, 0] == pytest.approx(math.pi / 2, abs=1e-12)
@@ -125,12 +167,11 @@ class TestEncode:
         assert np.array_equal(angles, again)
 
     def test_constant_feature_rejected(self):
-        schema = default_schema()
         cohort = generate_synthetic_cohort(SynthConfig(n=25, seed=5))
         cols = {k: v.copy() for k, v in cohort.columns.items()}
         cols["BMI"] = np.full(25, 22.0)
         with pytest.raises(ValueError, match="BMI"):
-            encode_features(Cohort(schema, cols), ["BMI"])
+            encode_features(Cohort(cols), ["BMI"])
 
     def test_unknown_feature_rejected(self):
         cohort = generate_synthetic_cohort(SynthConfig(n=25, seed=5))
@@ -142,7 +183,7 @@ class TestGenerator:
     def test_fixed_seed_identical(self):
         a = generate_synthetic_cohort(SynthConfig(n=50, seed=7))
         b = generate_synthetic_cohort(SynthConfig(n=50, seed=7))
-        for name in a.schema.names():
+        for name in NAMES:
             assert np.array_equal(a.columns[name], b.columns[name])
         c = generate_synthetic_cohort(SynthConfig(n=50, seed=8))
         assert not np.array_equal(a.columns["Age"], c.columns["Age"])

@@ -69,6 +69,24 @@ class TestRocAuc:
         assert np.all(np.diff(curve.tpr) >= 0)
 
 
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_threshold_oracle(self, tied, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        scores = rng.integers(0, 7, n) / 8.0 if tied else rng.random(n)
+        labels = (rng.random(n) < 0.4).astype(float)
+        curve, auc = roc_and_auc(scores, labels)
+        cuts = np.unique(scores)[::-1]
+        pos, neg = scores[labels == 1.0], scores[labels == 0.0]
+        assert np.array_equal(curve.thresholds, np.append(np.inf, cuts))
+        assert np.array_equal(curve.fpr, [0.0] + [np.mean(neg >= t) for t in cuts])
+        assert np.array_equal(curve.tpr, [0.0] + [np.mean(pos >= t) for t in cuts])
+        # pair counting: a tied positive/negative pair counts 1/2
+        wins = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
+        assert auc == pytest.approx(wins.mean(), abs=1e-12)
+
+
 class TestLogLoss:
     def test_near_perfect_after_clipping(self):
         eps = 1e-3

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,6 +38,15 @@ def test_compare_propensity_models_unfittable_size_exits_1():
     result = run_script("compare_propensity_models.py", "--n", "80", "--max-evals", "5", "--sizes", "1")
     assert result.returncode == 1
     assert "sample size 1" in result.stderr and "zero range" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_compare_propensity_models_non_positive_size_exits_1(size):
+    result = run_script("compare_propensity_models.py", "--n", "40", "--sizes", size)
+    assert result.returncode == 1
+    assert f"sample size must be positive, got {size}" in result.stderr
+    assert "negative dimensions" not in result.stderr
     assert "Traceback" not in result.stderr
 
 
