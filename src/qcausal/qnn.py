@@ -1,19 +1,15 @@
 """Quantum-circuit regressor for treatment-probability estimation.
 
 The prediction is the expectation of a trainable Pauli-sum observable over the
-encoded state, f(x, theta) = <psi(x, phi)| H(a, b) |psi(x, phi)>.  Training
-minimizes a weighted squared loss plus an optional variance-regularization
-term,
-
-    L(theta) = sum_i w_i (f(x_i, theta) - y_i)^2 + alpha * sum_i Var_f(x_i),
-
-with the gradient-free CMA-ES loop from `qcausal.cmaes`.  Parameter-shift
-gradients are provided as a verification tool for the exact evaluation mode.
+encoded state, f(x, theta) = <psi(x, phi)| H(a, b) |psi(x, phi)>, evaluated
+exactly or from `shots` shots per Pauli term under a noise model (`EvalMode`).
+Training minimizes the objective L(theta) that `_loss` defines, with the
+gradient-free CMA-ES loop from `qcausal.cmaes`.  Parameter-shift gradients
+are provided as a verification tool for exact evaluation.
 
 Without trained circuit angles the encoded states do not depend on theta, so
 `fit` encodes the training rows once and every objective evaluation reads f
 and Var_f off those states; with trained angles each evaluation encodes anew.
-Either way one helper, `_loss`, computes the objective from the states.
 """
 
 from __future__ import annotations
@@ -35,32 +31,27 @@ from .quantum import apply_circuit, expectation, sample_noisy_expectation, varia
 
 @dataclass(frozen=True)
 class EvalMode:
-    """How observable expectations are evaluated: exact, sampled, or noisy."""
+    """How observable expectations are evaluated: exactly when `shots` is
+    None, else from `shots` shots per Pauli term under `noise`."""
 
-    kind: str  # "exact" | "shots" | "noisy"
     shots: int | None = None
-    noise: NoiseModel | None = None
+    noise: NoiseModel = NoiseModel()
 
     def __post_init__(self):
-        if self.kind not in ("exact", "shots", "noisy"):
-            raise ValueError(f"unknown eval mode {self.kind!r}")
-        if self.kind != "exact":
-            if self.shots is None or self.shots < 1:
-                raise ValueError("shot count must be >= 1")
-        if self.kind == "noisy" and self.noise is None:
-            raise ValueError("noisy mode requires a NoiseModel")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError("shot count must be >= 1")
 
     @classmethod
     def exact(cls) -> "EvalMode":
-        return cls("exact")
+        return cls()
 
     @classmethod
     def sampled(cls, shots: int) -> "EvalMode":
-        return cls("shots", shots=shots)
+        return cls(shots)
 
     @classmethod
     def noisy(cls, noise: NoiseModel, shots: int) -> "EvalMode":
-        return cls("noisy", shots=shots, noise=noise)
+        return cls(shots, noise)
 
 
 @dataclass(frozen=True)
@@ -157,10 +148,10 @@ def _outputs(states: ProductStates, obs: PauliSumObservable, config: QnnConfig, 
     `seed`, which defaults to config.seed.
     """
     mode = config.eval_mode
-    if mode.kind == "exact":
+    if mode.shots is None:
         return states.expectation(obs)
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    return states.sample(obs, mode.shots, rng, mode.noise or NoiseModel())
+    return states.sample(obs, mode.shots, rng, mode.noise)
 
 
 def _predict_rows(params: QnnParams, X, config: QnnConfig, seed=None) -> np.ndarray:
@@ -201,34 +192,23 @@ def _check_training_arrays(X, y, w):
 
 
 def _loss(params: QnnParams, states: ProductStates, y, w, config: QnnConfig, seed) -> float:
-    """loss_fit + alpha * loss_variance on the states of the training rows."""
+    """The objective on the states of the training rows,
+
+        L(theta) = sum_i w_i (f(x_i, theta) - y_i)^2 + alpha * sum_i Var_f(x_i),
+
+    with f raw (unclipped) under the configured eval mode and Var_f exact in
+    every mode.
+    """
     obs = params.observable()
     residual = _outputs(states, obs, config, seed) - y
     value = float(np.sum(w * residual * residual))
     if config.alpha > 0:
         value += config.alpha * float(np.sum(states.variance(obs)))
-    return float(value)
-
-
-def loss_fit(params: QnnParams, X, y, w, config: QnnConfig, seed=None) -> float:
-    """sum_i w_i (f(x_i) - y_i)^2 on raw (unclipped) predictions."""
-    X, y, w = _check_training_arrays(X, y, w)
-    residual = _predict_rows(params, X, config, seed) - y
-    return float(np.sum(w * residual * residual))
-
-
-def loss_variance(params: QnnParams, X, config: QnnConfig) -> float:
-    """Sum of exact observable variances at the training points.
-
-    Always evaluated exactly on the noiseless states, independent of the
-    configured eval mode.
-    """
-    return float(np.sum(_states(params, X, config).variance(params.observable())))
+    return value
 
 
 def total_loss(params: QnnParams, X, y, w, config: QnnConfig, seed=None) -> float:
-    """The training objective: loss_fit + alpha * loss_variance, from one
-    encoding of X."""
+    """The objective `_loss` at `params`, from one encoding of X."""
     X, y, w = _check_training_arrays(X, y, w)
     return _loss(params, _states(params, X, config), y, w, config, seed)
 
@@ -240,7 +220,7 @@ def gradient_parameter_shift(params: QnnParams, x, config: QnnConfig) -> np.ndar
     the +-pi/2 shift rule (f(t + pi/2) - f(t - pi/2)) / 2.  The unshifted and
     all shifted circuits are evaluated as rows of one batch.
     """
-    if config.eval_mode.kind != "exact":
+    if config.eval_mode.shots is not None:
         raise ValueError("parameter-shift gradients are defined for exact mode only")
     m = config.n_circuit_angles
     if config.variational_enabled:
@@ -294,7 +274,7 @@ def fit(
 
     start = initial_params(config)
     fixed = None if config.variational_enabled else _states(start, X, config)
-    stochastic = config.eval_mode.kind != "exact"
+    stochastic = config.eval_mode.shots is not None
     counter = 0
 
     def objective(vector):

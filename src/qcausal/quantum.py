@@ -62,10 +62,8 @@ class GateOp:
 
 @dataclass(frozen=True)
 class EncodingCircuit:
-    """Layered angle-encoding circuit.
+    """Layered angle-encoding circuit; `_layer_ops` gives each layer's gates.
 
-    Per layer: H on every qubit, then the phase exp(+i * x_i * Z_i) on qubit i,
-    then (when `variational_angles` is given) an RZ and an RY on each qubit.
     `variational_angles` is laid out layer-major, qubit-minor, (rz, ry) last:
     index = layer*2n + 2*qubit + {0: rz, 1: ry}.
     """
@@ -100,20 +98,14 @@ class EncodingCircuit:
             object.__setattr__(self, "variational_angles", var)
 
     def gate_ops(self) -> list[GateOp]:
-        """Lower to the flat gate sequence the circuit applies, in order."""
-        ops: list[GateOp] = []
+        """Lower to the flat per-qubit gate sequence the circuit applies, in order."""
         n = self.n_qubits
-        for layer in range(self.layers):
-            ops.extend(GateOp("h", q) for q in range(n))
-            ops.extend(
-                GateOp("zphase", q, float(self.feature_angles[q])) for q in range(n)
-            )
-            if self.variational_angles is not None:
-                base = layer * 2 * n
-                for q in range(n):
-                    ops.append(GateOp("rz", q, float(self.variational_angles[base + 2 * q])))
-                    ops.append(GateOp("ry", q, float(self.variational_angles[base + 2 * q + 1])))
-        return ops
+        ops = _layer_ops(self.feature_angles, self.layers, self.variational_angles)
+        return [
+            GateOp(name, q, float(np.broadcast_to(angle, (n,))[q]))
+            for name, _, angle in ops
+            for q in range(n)
+        ]
 
 
 def build_feature_map(
@@ -260,6 +252,27 @@ def _fold(ops: Iterable[tuple], n_qubits: int, rows: int) -> ProductStates:
     return ProductStates(amps, counts)
 
 
+def _layer_ops(features, layers: int, variational=None):
+    """The encoding circuit as register-wide (name, qubits, angle) gate ops.
+
+    Per layer: H, the feature phase exp(+i * x_i * Z_i), then, when trained
+    angles are given, RZ and RY.  `features` is (..., n_qubits); `variational`
+    is (..., 2 * n_qubits * layers), laid out as
+    `EncodingCircuit.variational_angles`.
+    """
+    n = features.shape[-1]
+    angles = None
+    if variational is not None:
+        angles = variational.reshape(variational.shape[:-1] + (layers, n, 2))
+    every = slice(None)
+    for layer in range(layers):
+        yield "h", every, 0.0
+        yield "zphase", every, features
+        if angles is not None:
+            yield "rz", every, angles[..., layer, :, 0]
+            yield "ry", every, angles[..., layer, :, 1]
+
+
 def encode(X, layers: int = 1, variational=None) -> ProductStates:
     """States of the layered encoding circuit for every feature row of X.
 
@@ -273,7 +286,7 @@ def encode(X, layers: int = 1, variational=None) -> ProductStates:
     if not np.all(np.isfinite(X)):
         raise ValueError("feature angles must be finite")
     rows, n = X.shape
-    angles = None
+    var = None
     if variational is not None:
         var = np.asarray(variational, dtype=float)
         if var.shape not in ((2 * n * layers,), (rows, 2 * n * layers)):
@@ -282,18 +295,7 @@ def encode(X, layers: int = 1, variational=None) -> ProductStates:
             )
         if not np.all(np.isfinite(var)):
             raise ValueError("variational angles must be finite")
-        angles = var.reshape(var.shape[:-1] + (layers, n, 2))
-
-    def ops():
-        every = slice(None)
-        for layer in range(layers):
-            yield "h", every, 0.0
-            yield "zphase", every, X
-            if angles is not None:
-                yield "rz", every, angles[..., layer, :, 0]
-                yield "ry", every, angles[..., layer, :, 1]
-
-    return _fold(ops(), n, rows)
+    return _fold(_layer_ops(X, layers, var), n, rows)
 
 
 def apply_circuit(circuit: EncodingCircuit) -> ProductStates:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from qcausal.qnn import (
     fit,
     gradient_parameter_shift,
     initial_params,
-    loss_fit,
-    loss_variance,
     predict,
     predict_propensity,
     predict_propensities,
@@ -23,6 +22,19 @@ from qcausal.qnn import (
     unpack_params,
 )
 from qcausal.quantum import EncodingCircuit, NoiseModel
+
+
+def loss_fit(params, X, y, w, config, seed=None):
+    """The squared-error term of the objective: total_loss at alpha 0."""
+    return total_loss(params, X, y, w, replace(config, alpha=0.0), seed)
+
+
+def loss_variance(params, X, config):
+    """The variance term of the objective: total_loss at alpha 1 minus alpha 0."""
+    X = np.asarray(X, dtype=float)
+    y, w = np.zeros(len(X)), np.ones(len(X))
+    both = total_loss(params, X, y, w, replace(config, alpha=1.0))
+    return both - loss_fit(params, X, y, w, config)
 
 
 def zeroed_params(config, overrides=None, a=0.0):
@@ -50,8 +62,31 @@ class TestConfig:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             EvalMode.sampled(0)
-        with pytest.raises(ValueError):
-            EvalMode("noisy", shots=16)
+        for shots in (0, -1):
+            with pytest.raises(ValueError, match="shot count must be >= 1"):
+                EvalMode(shots=shots)
+            with pytest.raises(ValueError, match="shot count must be >= 1"):
+                EvalMode.noisy(NoiseModel(), shots)
+
+
+class TestEvalMode:
+    """The evaluation mode is the pair (shots, noise): no shot count is exact,
+    and zero noise is plain sampling."""
+
+    def test_default_is_exact(self):
+        assert EvalMode() == EvalMode.exact()
+        assert EvalMode().shots is None and EvalMode().noise == NoiseModel()
+
+    def test_zero_noise_is_plain_sampling(self):
+        X, y, w = small_task()
+        sampled = QnnConfig(n_qubits=2, seed=6, eval_mode=EvalMode.sampled(32))
+        noiseless = replace(sampled, eval_mode=EvalMode.noisy(NoiseModel(), 32))
+        params = initial_params(sampled)
+        a = predict_propensities(FittedQnn(sampled, params), X, seed=11)
+        b = predict_propensities(FittedQnn(noiseless, params), X, seed=11)
+        assert a.tobytes() == b.tobytes()
+        loss = [total_loss(params, X, y, w, config, seed=4) for config in (sampled, noiseless)]
+        assert loss[0] == loss[1]
 
 
 class TestPacking:

@@ -90,6 +90,21 @@ class TestFeatureMap:
         gates = [op for op in circuit.gate_ops() if op.name != "h"]
         assert np.allclose(oracles.run_gates(gates, 2), [1, 0, 0, 0])
 
+    def test_gate_list_runs_to_the_engine_state(self):
+        # the per-qubit list the dense oracles read describes the circuit encode runs
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(200):
+            circuit = oracles.random_circuit(rng)
+            n = circuit.n_qubits
+            seen.add((circuit.layers, circuit.variational_angles is not None))
+            gates = circuit.gate_ops()
+            state = apply_circuit(circuit)
+            assert np.max(np.abs(oracles.run_gates(gates, n) - state.dense())) <= 1e-14
+            counts = np.bincount([op.qubit for op in gates], minlength=n)
+            assert np.array_equal(counts, state.gate_counts)
+        assert seen == {(1, False), (1, True), (2, False), (2, True)}
+
     def test_empty_gate_list_is_identity(self):
         amps = oracles.run_gates([], 3)
         assert amps[0] == 1.0 and np.count_nonzero(amps) == 1

@@ -50,6 +50,24 @@ def test_compare_propensity_models_non_positive_size_exits_1(size):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "option, reason",
+    [
+        (("--n", "10"), "n must be >= 20"),
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--shots", "0"), "shots must be >= 1"),
+        (("--max-evals", "0"), "max_evaluations must be >= 1"),
+        (("--noise-p", "2"), "noise-p must lie in [0, 1]"),
+    ],
+)
+def test_compare_propensity_models_bad_option_exits_1(option, reason):
+    result = run_script("compare_propensity_models.py", "--n", "40", "--sizes", *option)
+    assert result.returncode == 1
+    assert f"compare_propensity_models: {reason}\n" in result.stderr
+    assert "sample size" not in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_run_pipeline(tmp_path):
     config = tmp_path / "fast.cfg"
     config.write_text("max_evaluations=20\n", encoding="utf-8")
