@@ -15,15 +15,21 @@ control index.  Distances are computed only inside the window:
 |score gap| for nearest-neighbor matching.  Genetic matching squares the
 per-column gaps of every window pair once per call, as a (columns x window)
 matrix over the raw covariates and score, and folds the standardizing
-1/std^2 into the genome, so a block of genomes gets its squared distances
-from one matrix product.  Two controls whose squared gaps are equal column
+1/std^2 into the genome.  Two controls whose squared gaps are equal column
 for column are then exactly equidistant.  One pass over the treated
-subjects matches a whole generation of genomes at once, in blocks of at
-most _BLOCK_BYTES of distances; each subject takes its nearest control not
-yet taken by the same genome, equal distances go to the lowest control
-index, and a subject whose candidates are all taken stays unmatched.
-Distances must be finite: genetic matching raises ValueError on non-finite
-covariates.
+subjects matches a whole generation of genomes at once: at each subject,
+one matrix product gives every genome's distances to that subject's window
+segment, and no distance outlives its step.  Each subject takes its nearest
+control not yet taken by the same genome, equal distances go to the lowest
+control index, and a subject whose candidates are all taken stays
+unmatched.  Distances must be finite: genetic matching raises ValueError on
+non-finite covariates.
+
+A genome's fitness is the mean |SMD| over the covariates of its match, and
+it depends only on the set of matched subjects: each arm's sums come from
+0/1 membership rows, genomes that match the same subjects get bit-equal
+fitness, and on equal fitness the lowest genome index is selected.  A match
+without a pair scores inf.
 
 Balance-test p-values come from the package's `_tails` module, Student's t
 tail for Welch's t and the chi-square tail with k - 1 degrees of freedom for
@@ -177,11 +183,6 @@ def score_caliper(ps, multiplier: float = 0.25) -> float:
     return float(multiplier * np.std(np.asarray(ps, dtype=float), ddof=1))
 
 
-# Distance rows of one greedy pass over a generation are capped at this many
-# bytes; a larger population is matched in blocks of genomes.
-_BLOCK_BYTES = 4 << 20
-
-
 class _GreedyCore:
     """Greedy 1:1 matching of one cohort, shared by every distance metric.
 
@@ -209,18 +210,19 @@ class _GreedyCore:
         # (step of order, window slice) of each treated subject with a candidate
         self.segments = list(zip(steps.tolist(), starts[steps].tolist(), stops[steps].tolist()))
 
-    def run(self, distances) -> np.ndarray:
-        """Greedy match for each row of `distances` (genomes x window).
+    def run(self, n_genomes: int, segment_distances) -> np.ndarray:
+        """Greedy match for each of `n_genomes` genomes.
 
-        Returns, per genome, the control position taken at each step of
-        `order`, or len(control) where every candidate of that treated
-        subject was taken earlier.  Equal distances resolve to the lowest
-        control index.  The distances must be finite, so a taken control is
-        the only kind of candidate that cannot win.
+        `segment_distances(start, stop)` gives the (genomes x stop - start)
+        distances of the window slice of one treated subject's candidates;
+        it is called once per treated subject with a candidate.  Returns,
+        per genome, the control position taken at each step of `order`, or
+        len(control) where every candidate of that treated subject was taken
+        earlier.  Equal distances resolve to the lowest control index.  The
+        distances must be finite, so a taken control is the only kind of
+        candidate that cannot win.
         """
-        if not np.isfinite(distances.max(initial=0.0)):
-            raise ValueError("matching distances must be finite; check the covariates")
-        n_genomes, n_control = len(distances), len(self.control)
+        n_control = len(self.control)
         # 0 for a free control, inf once the genome has taken it: adding it
         # leaves a finite distance as it is and makes a taken control lose
         penalty = np.zeros((n_genomes, n_control))
@@ -228,9 +230,12 @@ class _GreedyCore:
         genome_start = np.arange(n_genomes) * n_control
         picks = np.full((n_genomes, len(self.order)), n_control, dtype=np.intp)
         for step, start, stop in self.segments:
+            distances = segment_distances(start, stop)
+            if not np.isfinite(distances.max()):
+                raise ValueError("matching distances must be finite; check the covariates")
             candidates = self.cols[start:stop]
             d = penalty.take(candidates, axis=1)
-            d += distances[:, start:stop]
+            d += distances
             # with every candidate taken, argmin lands on a taken control
             pick = candidates.take(d.argmin(axis=1))
             flat_penalty[genome_start + pick] = np.inf
@@ -243,17 +248,57 @@ class _GreedyCore:
         picks[repeat] = n_control
         return picks
 
-    def pair_indices(self, picks) -> tuple[np.ndarray, np.ndarray]:
-        """Treated and control subjects of one genome's pairs, in match order."""
-        matched = picks < len(self.control)
-        return self.treated[self.order[matched]], self.control[picks[matched]]
-
     def match_set(self, picks) -> MatchSet:
         """The MatchSet of one genome's row of `run` output."""
-        treated, control = self.pair_indices(picks)
-        unmatched = self.treated[self.order[picks == len(self.control)]]
+        matched = picks < len(self.control)
+        treated, control = self.treated[self.order[matched]], self.control[picks[matched]]
+        unmatched = self.treated[self.order[~matched]]
         pairs = tuple(zip(treated.tolist(), control.tolist()))
         return MatchSet(pairs, tuple(unmatched.tolist()), self.caliper)
+
+    def fitness(self, picks, covariates) -> np.ndarray:
+        """Mean |SMD| over the columns of `covariates` of each genome's match
+        (a row of `run` output); inf for a match without a pair.
+
+        Only the set of matched subjects counts: each arm's sums come from
+        0/1 membership rows, and each distinct membership is scored once and
+        broadcast, so genomes that match the same subjects get bit-equal
+        fitness.  The SMD rules are those of `_smd`.  Sums of squares are
+        taken about a shift, 0 for a dichotomous column and the value nearest
+        the column mean otherwise, so an arm of equal integers has variance
+        exactly 0.
+        """
+        n_genomes, n_treated, n_control = len(picks), len(self.treated), len(self.control)
+        members = np.zeros((n_genomes, n_treated + n_control + 1), dtype=bool)
+        members[:, self.order] = picks < n_control
+        members[np.arange(n_genomes)[:, None], n_treated + picks] = True
+        members = members[:, :-1]
+        # the lowest genome with each genome's membership
+        first = {}
+        owner = np.array([
+            first.setdefault(row.tobytes(), g) for g, row in enumerate(np.packbits(members, axis=1))
+        ])
+        distinct = np.flatnonzero(owner == np.arange(n_genomes))
+        member_t, member_c = np.hsplit(members[distinct].astype(float), [n_treated])
+        pairs = member_t.sum(axis=1)[:, None]
+        binary = np.array([is_binary(col) for col in covariates.T])
+        nearest = np.abs(covariates - covariates.mean(axis=0)).argmin(axis=0)
+        shifted = covariates - np.where(binary, 0.0, np.diag(covariates[nearest]))
+        stats = []
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for member, values in ((member_t, shifted[self.treated]), (member_c, shifted[self.control])):
+                sums = member @ values
+                mean = sums / pairs
+                var = np.maximum(member @ values**2 - mean * sums, 0.0) / np.maximum(pairs - 1.0, 1.0)
+                stats.append((mean, np.where(binary, mean * (1.0 - mean), var)))
+            (mean_t, var_t), (mean_c, var_c) = stats
+            diff = np.abs(mean_t - mean_c)
+            pooled = (var_t + var_c) / 2.0
+            abs_smd = np.where(pooled > 0, diff / np.sqrt(pooled), np.where(diff == 0, 0.0, np.inf))
+        scores = np.where(pairs[:, 0] > 0, abs_smd.mean(axis=1), np.inf)
+        fitness = np.empty(n_genomes)
+        fitness[distinct] = scores
+        return fitness[owner]
 
 
 def nearest_neighbor_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
@@ -261,7 +306,7 @@ def nearest_neighbor_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
     ps = np.asarray(ps, dtype=float)
     core = _GreedyCore(ps, z, score_caliper(ps, caliper_multiplier))
     distances = np.abs(ps[core.treated][core.rows] - ps[core.control][core.cols])
-    return core.match_set(core.run(distances[None, :])[0])
+    return core.match_set(core.run(1, lambda start, stop: distances[None, start:stop])[0])
 
 
 def optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
@@ -353,36 +398,17 @@ def genetic_match(
     # The score caliper keeps the match selective: without it, balanced arm
     # sizes would always match the whole cohort and balance could not change.
     core = _GreedyCore(ps, z, score_caliper(ps, caliper_multiplier))
-    columns = np.ascontiguousarray(covariates.T)
-    binary = [is_binary(col) for col in columns]
-    width = len(core.cols)
-    block = min(population, max(1, _BLOCK_BYTES // (8 * max(width, 1))))
-    # the window distances of one block of genomes, reused by every block
-    buffer = np.empty((block, width))
     # squared per-column gaps of every window pair, built a column at a time
-    gaps = np.empty((d, width))
+    gaps = np.empty((d, len(core.rows)))
     for k, column in enumerate(raw.T):
-        np.take(column[core.treated], core.rows, out=gaps[k])
-        gaps[k] -= np.take(column[core.control], core.cols, out=buffer[0])
+        np.subtract(column[core.treated][core.rows], column[core.control][core.cols], out=gaps[k])
     np.square(gaps, out=gaps)
 
-    def mean_abs_smd(picks):
-        """Fitness of one genome's match: mean |SMD| over the covariates,
-        each arm taken in pair order; inf without a pair."""
-        t_idx, c_idx = core.pair_indices(picks)
-        if not len(t_idx):
-            return math.inf
-        return np.mean(np.abs(_smd(columns, binary, t_idx, c_idx)))
-
     def evaluate(genomes):
-        """Greedy matches of a whole generation and their mean |SMD|."""
-        picks = []
-        for start in range(0, len(genomes), block):
-            chunk = genomes[start : start + block]
-            distances = np.matmul(chunk * inv_var, gaps, out=buffer[: len(chunk)])
-            picks.append(core.run(np.sqrt(distances, out=distances)))
-        picks = np.concatenate(picks)
-        return picks, np.array([mean_abs_smd(row) for row in picks])
+        """Greedy matches of a whole generation and their fitness."""
+        weights = genomes * inv_var
+        picks = core.run(len(genomes), lambda start, stop: np.sqrt(weights @ gaps[:, start:stop]))
+        return picks, core.fitness(picks, covariates)
 
     genomes = np.exp(rng.normal(0.0, 0.5, size=(population, d)))
     genomes[0] = 1.0  # identity-metric candidate
@@ -460,11 +486,6 @@ def chi_square_test(categories, z, weights=None) -> float:
     """Pearson chi-square p-value on the category-by-arm table, df = k - 1."""
     statistic, df = _pearson(categories, z, weights)
     return chi2_sf(statistic, df)
-
-
-def chi_square_statistic(categories, z, weights=None) -> float:
-    """The raw Pearson statistic behind `chi_square_test`."""
-    return _pearson(categories, z, weights)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ matrix through the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -282,10 +282,3 @@ def predict_gbm(model: GbmModel, x):
     p = _sigmoid(scores)
     return float(p[0]) if single else p
 
-
-def gbm_training_deviance(model: GbmModel, X, y, n_trees: int | None = None) -> float:
-    """Binomial deviance of the first n_trees stages (all stages by default)."""
-    sub = replace(model, trees=model.trees[: len(model.trees) if n_trees is None else n_trees])
-    p = np.clip(predict_gbm(sub, np.asarray(X, dtype=float)), 1e-12, 1 - 1e-12)
-    y = np.asarray(y, dtype=float)
-    return float(-2.0 * np.sum(y * np.log(p) + (1 - y) * np.log1p(-p)))

@@ -8,22 +8,28 @@ gate order.  The matching oracles are the earlier one-genome-at-a-time
 greedy matchers on full treated x control distance matrices, an exact
 greedy matcher that sums the weighted squared gaps in fractions.Fraction,
 and the earlier optimal matcher, which hands scipy's assignment solver a
-dense cost matrix with sentinel prices.  The boosted-tree oracles are the
-earlier per-node argsort, scalar split scan and row-by-row tree walk.  The
-survival oracles are the earlier estimators that rebuilt the at-risk set
-once per event time, and Harrell's C that compared every event with every
-later subject.  The CMA-ES oracles are the earlier `ask` and `tell`, which
-decomposed the covariance once each per generation.
+dense cost matrix with sentinel prices; the genetic fitness oracles read
+the matched arms in pair order (the earlier fitness) or in subject order
+(the set-based one).  The boosted-tree oracles are the earlier per-node
+argsort, scalar split scan and row-by-row tree walk.  The survival
+oracles are the earlier estimators that rebuilt the at-risk set once per
+event time, and Harrell's C that compared every event with every later
+subject.  The CMA-ES oracles are the earlier `ask` and `tell`, which
+decomposed the covariance once each per generation.  Two statistics that
+only the tests read, the raw Pearson statistic and the staged boosted-tree
+deviance, live here too, on the package's own functions.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from qcausal.adjust import MatchSet
+from qcausal import classical
+from qcausal.adjust import MatchSet, _pearson
 from qcausal.cmaes import CmaesConfig, CmaesState, _decompose, _strategy
 from qcausal.classical import GbmModel, TreeNode, _sigmoid
 from qcausal.survival import (
@@ -244,8 +250,10 @@ def _metric_match(features, ps, z, metric_weights, caliper):
     return MatchSet(pairs, tuple(int(treated[r]) for r in unmatched), caliper)
 
 
-def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
-    idx = match.matched_indices()
+def _arm_mean_abs_smd(covariates, z, idx) -> float:
+    """Mean |SMD| over the columns of `covariates` between the subjects of
+    `idx` in each arm, each arm's values taken in `idx` order; inf when
+    `idx` is empty."""
     if len(idx) == 0:
         return math.inf
     sub_cov = covariates[idx]
@@ -267,6 +275,17 @@ def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
         else:
             total += abs(mt - mc) / math.sqrt(pooled)
     return total / covariates.shape[1]
+
+
+def _mean_abs_smd(covariates, z, match: MatchSet) -> float:
+    """The earlier genetic fitness: each arm read in pair order."""
+    return _arm_mean_abs_smd(covariates, z, match.matched_indices())
+
+
+def set_mean_abs_smd(covariates, z, match: MatchSet) -> float:
+    """The genetic fitness as a function of the matched set alone: each arm
+    read in ascending subject order."""
+    return _arm_mean_abs_smd(covariates, z, np.sort(match.matched_indices()))
 
 
 def exact_gap_terms(covariates, ps):
@@ -328,7 +347,8 @@ def exact_metric_matcher(covariates, ps, z, caliper):
 
 def _evolve(covariates, z, ps, population, generations, seed, caliper_multiplier, matcher):
     """The genetic search shared by both genetic oracles; `matcher` builds,
-    from (covariates, ps, z, caliper), the genome -> MatchSet function."""
+    from (covariates, ps, z, caliper), the genome -> MatchSet function, and
+    each genome's match is scored by `set_mean_abs_smd`."""
     covariates = np.asarray(covariates, dtype=float)
     if covariates.ndim != 2 or covariates.shape[1] < 1:
         raise ValueError("covariates must be a non-empty 2-d matrix")
@@ -341,7 +361,7 @@ def _evolve(covariates, z, ps, population, generations, seed, caliper_multiplier
     match = matcher(covariates, ps, z, caliper)
 
     def evaluate(genome):
-        return _mean_abs_smd(covariates, z, match(genome))
+        return set_mean_abs_smd(covariates, z, match(genome))
 
     genomes = np.exp(rng.normal(0.0, 0.5, size=(population, d)))
     genomes[0] = 1.0  # identity-metric candidate
@@ -808,3 +828,21 @@ def tell(
     state.generation = gen1
     state.evaluations += lam
     return state
+
+
+# ---------------------------------------------------------------------------
+# statistics that only the tests read
+# ---------------------------------------------------------------------------
+
+
+def chi_square_statistic(categories, z, weights=None) -> float:
+    """The raw Pearson statistic behind `adjust.chi_square_test`."""
+    return _pearson(categories, z, weights)[0]
+
+
+def gbm_training_deviance(model: GbmModel, X, y, n_trees: int | None = None) -> float:
+    """Binomial deviance of the first n_trees stages (all stages by default)."""
+    sub = replace(model, trees=model.trees[: len(model.trees) if n_trees is None else n_trees])
+    p = np.clip(classical.predict_gbm(sub, np.asarray(X, dtype=float)), 1e-12, 1 - 1e-12)
+    y = np.asarray(y, dtype=float)
+    return float(-2.0 * np.sum(y * np.log(p) + (1 - y) * np.log1p(-p)))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import chi_square_statistic
 from qcausal.adjust import (
     BalanceReport,
     MatchSet,
     WeightVector,
     balance_report,
-    chi_square_statistic,
     chi_square_test,
     compute_weights,
     genetic_match,
@@ -316,30 +316,89 @@ class TestGenetic:
         with pytest.raises(ValueError):
             genetic_match(X, z, ps, population=3)
 
+    @staticmethod
+    def population_picks(X, z, ps, multiplier, seed, size=8):
+        """A greedy core and its `run` output for `size` random genomes."""
+        from test_greedy_core import run_genomes
+
+        from qcausal.adjust import _GreedyCore
+
+        core = _GreedyCore(ps, z, score_caliper(ps, multiplier))
+        genomes = np.exp(np.random.default_rng(seed).normal(0.0, 0.5, size=(size, X.shape[1] + 1)))
+        return core, run_genomes(core, X, ps, genomes)
+
     def test_fitness_equals_oracle_on_tie_heavy_instances(self):
-        """genetic_match scores a match by the mean |SMD| of the matched arms
-        in pair order, bit for bit the oracle's."""
+        """Per genome, the fitness genetic_match selects on is the mean |SMD|
+        of the matched set, each arm in ascending subject order: to 1e-12
+        relative, and exactly where it is 0 or inf."""
         import oracles
         from test_greedy_core import SEEDS, tie_heavy_instance
 
-        from qcausal.adjust import _smd
-        from qcausal.metrics import is_binary
-
+        zeros = infs = 0
         for seed in SEEDS:
             X, z, ps = tie_heavy_instance(seed)
-            binary = [is_binary(col) for col in X.T]
-            features = oracles._standardize(np.column_stack([X, ps]))
-            genomes = np.exp(np.random.default_rng(seed).normal(0.0, 0.5, size=(4, 4)))
-            for genome in genomes:
-                for multiplier in (0.25, 0.05):
-                    caliper = score_caliper(ps, multiplier)
-                    match = oracles._metric_match(features, ps, z, genome, caliper)
-                    expected = oracles._mean_abs_smd(X, z, match)
-                    if not match.pairs:
-                        assert expected == math.inf
-                        continue
-                    t_idx, c_idx = np.array(match.pairs).T
-                    assert np.mean(np.abs(_smd(X.T, binary, t_idx, c_idx))) == expected, seed
+            for multiplier in (0.25, 0.05):
+                core, picks = self.population_picks(X, z, ps, multiplier, seed)
+                fitness = core.fitness(picks, X)
+                for row, value in zip(picks, fitness):
+                    expected = oracles.set_mean_abs_smd(X, z, core.match_set(row))
+                    if expected in (0.0, math.inf):
+                        assert value == expected, seed
+                        zeros += expected == 0.0
+                        infs += expected == math.inf
+                    else:
+                        assert value == pytest.approx(expected, rel=1e-12, abs=0), seed
+        assert zeros and infs  # the instances do reach both edges
+
+    def test_fitness_on_continuous_covariates(self):
+        """The shifted sums keep continuous columns far from zero, here near
+        50, within 1e-12 relative of the set oracle."""
+        import oracles
+
+        for seed in range(6):
+            X, z, ps = self.make_instance(seed=seed)
+            X = np.column_stack([X, 50.0 + 10.0 * np.random.default_rng(seed).normal(size=len(z))])
+            core, picks = self.population_picks(X, z, ps, 0.25, seed)
+            expected = [oracles.set_mean_abs_smd(X, z, core.match_set(row)) for row in picks]
+            assert core.fitness(picks, X) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_equal_matched_sets_get_bit_equal_fitness(self):
+        """Two rows that match the same subjects with a different pairing, at
+        any place in the population, score bit-equal."""
+        from test_greedy_core import SEEDS, tie_heavy_instance
+
+        swapped = 0
+        for seed in SEEDS:
+            _, z, ps = tie_heavy_instance(seed, n=40)
+            # continuous values, so the order of a sum can change its rounding
+            X = np.random.default_rng(seed).normal(60.0, 10.0, size=(40, 3))
+            core, picks = self.population_picks(X, z, ps, 1.0, seed)
+            row = picks[0]
+            matched = np.flatnonzero(row < len(core.control))
+            if len(matched) < 2:
+                continue
+            other = row.copy()
+            other[matched[[0, -1]]] = row[matched[[-1, 0]]]
+            fitness = core.fitness(np.vstack([picks, other[None, :]]), X)
+            assert fitness[-1] == fitness[0], seed
+            swapped += 1
+        assert swapped > len(SEEDS) // 2
+
+    def test_equal_integer_arm_has_zero_variance(self):
+        """An ordinal column whose matched values are all 3, in both arms,
+        adds exactly 0, though the column mean, 7/3, is not a binary
+        fraction; one with 3 against 4 adds inf."""
+        from qcausal.adjust import _GreedyCore
+
+        ps = np.array([0.50, 0.51, 0.52, 0.50, 0.51, 0.52, 0.9, 0.1, 0.3])
+        z = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        core = _GreedyCore(ps, z, 0.05)
+        same = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.0, 2.0])
+        apart = np.array([3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 1.0, 0.0, 2.0])
+        picks = core.run(1, lambda start, stop: np.zeros((1, stop - start)))
+        assert len(core.match_set(picks[0]).pairs) == 3
+        assert core.fitness(picks, same[:, None]).tolist() == [0.0]
+        assert core.fitness(picks, apart[:, None]).tolist() == [math.inf]
 
     def test_larger_population_usually_at_least_as_fit(self):
         from oracles import _mean_abs_smd

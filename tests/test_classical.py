@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import gbm_training_deviance
 from qcausal.classical import (
     GbmModel,
     TreeNode,
     fit_gbm,
     fit_logistic,
-    gbm_training_deviance,
     logistic_nll,
     predict_gbm,
     predict_logistic,

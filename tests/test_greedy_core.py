@@ -7,6 +7,8 @@ match, the reference is the exact-arithmetic oracle, since the float one
 breaks such ties by rounding residue.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,8 @@ def test_float_oracle_differs_only_at_exact_ties(monkeypatch):
     recorded = []
     run = adjust._GreedyCore.run
 
-    def recording_run(core, distances):
-        recorded.append((core, run(core, distances)))
+    def recording_run(core, n_genomes, segment_distances):
+        recorded.append((core, run(core, n_genomes, segment_distances)))
         return recorded[-1][1]
 
     monkeypatch.setattr(adjust._GreedyCore, "run", recording_run)
@@ -153,31 +155,66 @@ def test_non_finite_covariate_is_rejected():
         adjust.genetic_match(X, z, ps, population=4, generations=1, seed=0)
 
 
+def run_genomes(core, X, ps, genomes):
+    """`core.run` for the rows of `genomes` on the distances genetic_match
+    builds: the genome-weighted squared gaps of (X, ps), standardized."""
+    raw = np.column_stack([X, ps])
+    gaps = (raw[core.treated][core.rows] - raw[core.control][core.cols]).T ** 2
+    std = raw.std(axis=0, ddof=1)
+    std[std == 0] = 1.0
+    weights = np.atleast_2d(genomes) / std**2
+    return core.run(len(weights), lambda start, stop: np.sqrt(weights @ gaps[:, start:stop]))
+
+
 @pytest.mark.parametrize("per_block", [1, 3])
-def test_genome_blocks_do_not_change_the_match(monkeypatch, per_block):
-    # one genome per block, or three per block with a one-genome block
-    # left at the end of a population of ten
+def test_genome_blocks_do_not_change_the_match(per_block):
+    """A population of ten run in blocks of `per_block` genomes (one each,
+    or three each with a one-genome block at the end) gives each genome the
+    picks of its row in one pass over the whole population: a genome's
+    match does not depend on which other genomes share the pass."""
     for seed in range(6):
         X, z, ps = tie_heavy_instance(seed, n=40)
-        width = len(adjust._GreedyCore(ps, z, adjust.score_caliper(ps, 0.5)).cols)
-        monkeypatch.setattr(adjust, "_BLOCK_BYTES", per_block * 8 * width)
+        core = adjust._GreedyCore(ps, z, adjust.score_caliper(ps, 0.5))
+        genomes = np.exp(np.random.default_rng(seed).normal(0.0, 0.5, size=(10, 4)))
+        together = run_genomes(core, X, ps, genomes)
+        for start in range(0, len(genomes), per_block):
+            block = run_genomes(core, X, ps, genomes[start : start + per_block])
+            assert np.array_equal(block, together[start : start + per_block]), seed
         args = dict(population=10, generations=2, seed=seed, caliper_multiplier=0.5)
         assert adjust.genetic_match(X, z, ps, **args) == oracles.genetic_match(X, z, ps, **args)
 
 
-def test_benchmark_sized_genetic_match(tmp_path):
-    """n=800 cohort, logistic scores, population 100, 4 generations, seeded
-    the way `qcausal adjust --seed 1` seeds it."""
+def benchmark_cohort(tmp_path):
+    """The n=800 seed-1 cohort's model covariates, arms and logistic scores."""
     out = str(tmp_path)
     assert cli.main(["gen", "--out-dir", out, "--seed", "1", "--n", "800"]) == cli.EXIT_OK
     assert cli.main(["fit-ps", "--out-dir", out, "--seed", "1", "--model", "lr"]) == cli.EXIT_OK
     cohort, _ = load_cohort(tmp_path / "cohort.csv")
     _, ps = cli.read_scores(tmp_path / "scores.csv")
-    X = cohort.matrix(cli.MODEL_COVARIATES)
+    return cohort.matrix(cli.MODEL_COVARIATES), cohort.z, ps
+
+
+def test_benchmark_sized_genetic_match(tmp_path):
+    """n=800 cohort, logistic scores, population 100, 4 generations, seeded
+    the way `qcausal adjust --seed 1` seeds it."""
+    X, z, ps = benchmark_cohort(tmp_path)
     args = dict(population=100, generations=4, seed=cli._stage_seed(1, 3))
-    new = adjust.genetic_match(X, cohort.z, ps, **args)
-    assert new == oracles.genetic_match(X, cohort.z, ps, **args)
-    assert adjust.nearest_neighbor_match(ps, cohort.z) == oracles.nearest_neighbor_match(
-        ps, cohort.z
-    )
+    new = adjust.genetic_match(X, z, ps, **args)
+    assert new == oracles.genetic_match(X, z, ps, **args)
+    assert adjust.nearest_neighbor_match(ps, z) == oracles.nearest_neighbor_match(ps, z)
     assert len(new.pairs) > 100
+
+
+def test_genetic_match_holds_no_population_sized_buffer(tmp_path):
+    """At n=800 with population 400, the memory genetic_match allocates at
+    its peak stays below half of one population x window float64 array, so
+    no per-genome distance buffer over the whole window comes back."""
+    X, z, ps = benchmark_cohort(tmp_path)
+    width = len(adjust._GreedyCore(ps, z, adjust.score_caliper(ps)).cols)
+    tracemalloc.start()
+    try:
+        adjust.genetic_match(X, z, ps, population=400, generations=1, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * width * 8 / 2
