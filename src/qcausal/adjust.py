@@ -25,10 +25,17 @@ control index, and a subject whose candidates are all taken stays
 unmatched.  Distances must be finite: genetic matching raises ValueError on
 non-finite covariates.
 
-A genome's fitness is the mean |SMD| over the covariates of its match, and
-it depends only on the set of matched subjects: each arm's sums come from
-0/1 membership rows, genomes that match the same subjects get bit-equal
-fitness, and on equal fitness the lowest genome index is selected.  A match
+Every SMD, Welch test and genetic fitness reads its arm moments from one
+kernel, `_arm_moments`, over weight rows: under weights w an arm's mean is
+sum(w x) / sum(w), its effective size n = (sum w)^2 / sum(w^2), and its
+variance sum(w (x - mean)^2) / (sum(w) - sum(w^2) / sum(w)), or p(1-p) for a
+dichotomous column; a 0/1 row gives the sample mean, count and ddof=1
+variance.  The SMD divides the difference of the arm means by the root of
+the mean of their variances.  A match is its 0/1 membership row over the
+cohort, so its balance, in the report as in the fitness, depends only on
+the set of matched subjects.  A genome's fitness is the mean |SMD| over the
+covariates of its match: genomes that match the same subjects get bit-equal
+fitness, on equal fitness the lowest genome index is selected, and a match
 without a pair scores inf.
 
 Balance-test p-values come from the package's `_tails` module, Student's t
@@ -103,45 +110,49 @@ def effective_sample_size(weights) -> float:
     return float(weights.sum() ** 2 / float(weights @ weights))
 
 
-def _arm_stats(values, weights=None, binary=False) -> tuple[float, float, float]:
-    """One arm's mean, variance and effective size.  Unweighted, the sample
-    mean and ddof=1 variance; weighted, the weighted mean and variance with
-    the effective-sample-size dof correction.  A dichotomous arm (`binary`)
-    takes p*(1-p) as its variance."""
-    if weights is None:
-        mean, n = values.mean(), float(len(values))
-    else:
-        wsum = weights.sum()
-        mean, n = float(weights @ values / wsum), effective_sample_size(weights)
-    if binary:
-        var = mean * (1.0 - mean)
-    elif n <= 1:
-        var = 0.0
-    elif weights is None:
-        var = values.var(ddof=1)
-    else:
-        var = float(weights @ (values - mean) ** 2 / wsum) * n / (n - 1.0)
-    return mean, var, n
+def _arm_moments(rows, values, arms, binary) -> list:
+    """Per arm of `arms` (subject index arrays), the (mean, n, var) of each
+    column of `values` (subjects x columns) under each weight row of `rows`
+    (rows x subjects), by the formulas of the module docstring: means and
+    variances (rows x columns), n (rows x 1).  A `binary` column takes p(1-p)
+    as its variance; n <= 1 gives 0.  Sums are taken about a shift, 0 for a
+    dichotomous column and the value nearest the column mean otherwise, so an
+    arm of equal integers has variance exactly 0; the means are returned about
+    that shift, which leaves every difference between arms as it is."""
+    nearest = np.abs(values - values.mean(axis=0)).argmin(axis=0)
+    shifted = values - np.where(binary, 0.0, values[nearest, np.arange(values.shape[1])])
+    moments = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for arm in arms:
+            w, x = rows.take(arm, axis=1), shifted[arm]
+            wsum = w.sum(axis=1, keepdims=True)
+            wsq = (w * w).sum(axis=1, keepdims=True)
+            n = wsum**2 / wsq
+            sums = w @ x
+            mean = sums / wsum
+            var = np.maximum(w @ x**2 - mean * sums, 0.0) / (wsum - wsq / wsum)
+            var = np.where(binary, mean * (1.0 - mean), np.where(n > 1, var, 0.0))
+            moments.append((mean, n, var))
+    return moments
 
 
-def _smd(columns, binary, t_idx, c_idx, weights=None) -> np.ndarray:
-    """Signed SMD of each row of `columns` between the subjects `t_idx` and
-    `c_idx`, each arm's values taken in that order.  Continuous columns pool
-    the two arm variances; dichotomous ones (`binary`) use p*(1-p) in place
-    of the variance.  A zero pooled variance gives 0 for equal means, else
-    an infinite SMD."""
-    out = np.empty(len(columns))
-    for j, (col, is_binary) in enumerate(zip(columns, binary)):
-        (mt, vt, _), (mc, vc, _) = [
-            _arm_stats(col[idx], None if weights is None else weights[idx], is_binary)
-            for idx in (t_idx, c_idx)
-        ]
-        pooled = (vt + vc) / 2.0
-        if pooled <= 0:
-            out[j] = 0.0 if mt == mc else math.copysign(math.inf, mt - mc)
-        else:
-            out[j] = (mt - mc) / math.sqrt(pooled)
-    return out
+def _signed_smd(treated, control) -> np.ndarray:
+    """Signed SMD between two arms' `_arm_moments`.  A zero pooled variance
+    gives 0 for equal means, else an infinite SMD."""
+    (mean_t, _, var_t), (mean_c, _, var_c) = treated, control
+    diff, pooled = mean_t - mean_c, (var_t + var_c) / 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        degenerate = np.where(diff == 0, 0.0, np.copysign(np.inf, diff))
+        return np.where(pooled <= 0, degenerate, diff / np.sqrt(pooled))
+
+
+def _column_moments(values, z, weights, binary) -> list:
+    """`_arm_moments` of one column under one weight row (unit weights by
+    default), as (mean, n, var) floats per arm."""
+    values = np.asarray(values, dtype=float)
+    row = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=float)
+    arms = _arm_moments(row[None], values[:, None], _split_groups(z), np.array([binary]))
+    return [tuple(float(stat[0, 0]) for stat in arm) for arm in arms]
 
 
 def smd(values, z, weights=None) -> float:
@@ -150,10 +161,7 @@ def smd(values, z, weights=None) -> float:
     Continuous covariates pool the two group variances; dichotomous ones
     (values within {0,1}) use p*(1-p) in place of the sample variance.
     """
-    values = np.asarray(values, dtype=float)
-    treated, control = _split_groups(z)
-    weights = None if weights is None else np.asarray(weights, dtype=float)
-    value = float(_smd(values[None], [is_binary(values)], treated, control, weights)[0])
+    value = float(_signed_smd(*_column_moments(values, z, weights, is_binary(values))))
     if math.isinf(value):
         raise ValueError("degenerate covariate: zero pooled variance with unequal means")
     return value
@@ -260,42 +268,25 @@ class _GreedyCore:
         """Mean |SMD| over the columns of `covariates` of each genome's match
         (a row of `run` output); inf for a match without a pair.
 
-        Only the set of matched subjects counts: each arm's sums come from
-        0/1 membership rows, and each distinct membership is scored once and
-        broadcast, so genomes that match the same subjects get bit-equal
-        fitness.  The SMD rules are those of `_smd`.  Sums of squares are
-        taken about a shift, 0 for a dichotomous column and the value nearest
-        the column mean otherwise, so an arm of equal integers has variance
-        exactly 0.
+        Only the set of matched subjects counts: each genome's match is a 0/1
+        membership row over the cohort, and each distinct row is scored once
+        by `_arm_moments` and broadcast, so genomes that match the same
+        subjects get bit-equal fitness.
         """
-        n_genomes, n_treated, n_control = len(picks), len(self.treated), len(self.control)
-        members = np.zeros((n_genomes, n_treated + n_control + 1), dtype=bool)
-        members[:, self.order] = picks < n_control
-        members[np.arange(n_genomes)[:, None], n_treated + picks] = True
-        members = members[:, :-1]
+        n_genomes, matched = len(picks), picks < len(self.control)
+        members = np.zeros((n_genomes, len(covariates)), dtype=bool)
+        members[:, self.treated[self.order]] = matched
+        members[np.nonzero(matched)[0], self.control[picks[matched]]] = True
         # the lowest genome with each genome's membership
         first = {}
         owner = np.array([
             first.setdefault(row.tobytes(), g) for g, row in enumerate(np.packbits(members, axis=1))
         ])
         distinct = np.flatnonzero(owner == np.arange(n_genomes))
-        member_t, member_c = np.hsplit(members[distinct].astype(float), [n_treated])
-        pairs = member_t.sum(axis=1)[:, None]
+        rows = members[distinct].astype(float)
         binary = np.array([is_binary(col) for col in covariates.T])
-        nearest = np.abs(covariates - covariates.mean(axis=0)).argmin(axis=0)
-        shifted = covariates - np.where(binary, 0.0, np.diag(covariates[nearest]))
-        stats = []
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for member, values in ((member_t, shifted[self.treated]), (member_c, shifted[self.control])):
-                sums = member @ values
-                mean = sums / pairs
-                var = np.maximum(member @ values**2 - mean * sums, 0.0) / np.maximum(pairs - 1.0, 1.0)
-                stats.append((mean, np.where(binary, mean * (1.0 - mean), var)))
-            (mean_t, var_t), (mean_c, var_c) = stats
-            diff = np.abs(mean_t - mean_c)
-            pooled = (var_t + var_c) / 2.0
-            abs_smd = np.where(pooled > 0, diff / np.sqrt(pooled), np.where(diff == 0, 0.0, np.inf))
-        scores = np.where(pairs[:, 0] > 0, abs_smd.mean(axis=1), np.inf)
+        moments = _arm_moments(rows, covariates, (self.treated, self.control), binary)
+        scores = np.where(rows.any(axis=1), np.abs(_signed_smd(*moments)).mean(axis=1), np.inf)
         fitness = np.empty(n_genomes)
         fitness[distinct] = scores
         return fitness[owner]
@@ -442,16 +433,13 @@ def genetic_match(
 
 def two_sample_t_test(values, z, weights=None) -> float:
     """Welch's unequal-variance t-test p-value; weighted runs replace group
-    sizes with effective sample sizes (sum w)^2 / sum w^2."""
-    values = np.asarray(values, dtype=float)
-    treated, control = _split_groups(z)
-    if len(treated) < 2 or len(control) < 2:
+    sizes with effective sample sizes (sum w)^2 / sum w^2.  Each group needs
+    two subjects of positive weight."""
+    z = np.asarray(z, dtype=float)
+    weights = np.ones(len(z)) if weights is None else np.asarray(weights, dtype=float)
+    (mt, nt, vt), (mc, nc, vc) = _column_moments(values, z, weights, False)
+    if min(np.count_nonzero(weights[z == arm]) for arm in (1.0, 0.0)) < 2:
         raise ValueError("each group needs at least two observations")
-    weights = None if weights is None else np.asarray(weights, dtype=float)
-    (mt, vt, nt), (mc, vc, nc) = (
-        _arm_stats(values[idx], None if weights is None else weights[idx])
-        for idx in (treated, control)
-    )
     se2 = vt / nt + vc / nc
     if se2 <= 0:
         raise ValueError("zero variance in both groups")
@@ -469,10 +457,9 @@ def _pearson(categories, z, weights) -> tuple[float, int]:
     z = np.asarray(z, dtype=float)
     weights = np.ones(len(z)) if weights is None else np.asarray(weights, dtype=float)
     levels, codes = np.unique(categories, return_inverse=True)
-    table = np.zeros((len(levels), 2))
-    for i in range(len(levels)):
-        for g, arm in enumerate((0.0, 1.0)):
-            table[i, g] = weights[(codes == i) & (z == arm)].sum()
+    table = np.column_stack([
+        np.bincount(codes[z == arm], weights[z == arm], minlength=len(levels)) for arm in (0.0, 1.0)
+    ])
     table = table[table.sum(axis=1) > 0]
     if len(table) < 2:
         raise ValueError("need at least two non-empty categories")
@@ -520,9 +507,10 @@ def balance_report(
 ) -> BalanceReport:
     """Per-covariate SMD and test p-values before and after adjustment.
 
-    Matching adjustments evaluate the matched subset with unit weights;
-    weighting adjustments reuse the full sample with the scheme's weights.
-    A match without pairs leaves every after-value None.  Continuous
+    Either adjustment becomes one weight row over the cohort: a weighting's
+    weights, or 1 for each subject of a match and 0 elsewhere, so a match's
+    balance depends only on its matched set.  An all-zero row, such as a
+    match without pairs, leaves every after-value None.  Continuous
     covariates get Welch's t-test, binary and ordinal ones the chi-square
     test.
     """
@@ -530,14 +518,17 @@ def balance_report(
     if isinstance(adjustment, WeightVector):
         if len(adjustment.weights) != cohort.n:
             raise ValueError("weight vector length does not match the cohort")
-        idx, weights = np.arange(cohort.n), adjustment.weights
+        row = adjustment.weights
     elif isinstance(adjustment, MatchSet):
-        idx, weights = adjustment.matched_indices(), None
+        idx = adjustment.matched_indices()
         if len(idx) and idx.max() >= cohort.n:
             raise ValueError("match indices exceed the cohort")
+        row = np.zeros(cohort.n)
+        row[idx] = 1.0
     else:
         raise TypeError("adjustment must be a MatchSet or WeightVector")
 
+    adjusted = bool(row.any())
     rows = []
     for name in covariates:
         continuous = variable(name).kind == "continuous"
@@ -545,13 +536,11 @@ def balance_report(
         values = cohort.columns[name]
         smd_before, p_before = smd(values, z), test(values, z)
         smd_after = p_after = None
-        if len(idx):
-            sub_vals, sub_z = values[idx], z[idx]
-            sub_w = None if weights is None else weights[idx]
-            smd_after, p_after = smd(sub_vals, sub_z, sub_w), test(sub_vals, sub_z, sub_w)
+        if adjusted:
+            smd_after, p_after = smd(values, z, row), test(values, z, row)
         label = "t-test" if continuous else "chisq"
         rows.append(BalanceRow(name, smd_before, smd_after, label, p_before, p_after))
 
     mean_before = float(np.mean([abs(r.smd_before) for r in rows]))
-    mean_after = float(np.mean([abs(r.smd_after) for r in rows])) if len(idx) else None
+    mean_after = float(np.mean([abs(r.smd_after) for r in rows])) if adjusted else None
     return BalanceReport(tuple(rows), mean_before, mean_after)

@@ -156,7 +156,9 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Strict JSON (RFC 8259): a non-finite number is written as null."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    path.write_text(json.dumps(strict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -488,6 +490,7 @@ def cmd_adjust(config: RunConfig) -> int:
 
     adjustment = _compute_adjustment(config, cohort, ps)
     record = _adjustment_record(adjustment, cohort.z)
+    report = adj.balance_report(cohort, ps, adjustment, SURVIVAL_COVARIATES)
 
     # one adjustment file per directory: survival reads whichever exists and
     # takes its label from balance.json, so a stale label must not outlive it
@@ -502,8 +505,6 @@ def cmd_adjust(config: RunConfig) -> int:
     else:
         (out_dir / "weights.csv").unlink(missing_ok=True)
         _write_csv(out_dir / "pairs.csv", ["treated", "control"], list(adjustment.pairs))
-
-    report = adj.balance_report(cohort, ps, adjustment, SURVIVAL_COVARIATES)
     _write_balance(out_dir, {**asdict(report), **record}, config.adjust)
     if report.mean_abs_smd_after is None:
         print("qcausal adjust: empty match set; reports written", file=sys.stderr)
@@ -555,19 +556,33 @@ def cmd_survival(config: RunConfig) -> int:
         adjustment = balance.get("adjustment", adjustment)
 
     header = ["time", "survival", "at_risk", "events"]
-    for label, group in (("control", 0.0), ("treated", 1.0)):
-        mask = cohort.z == group
-        curve = surv.kaplan_meier(cohort.times[mask], cohort.events[mask])
-        _write_csv(out_dir / f"km_unadjusted_{label}.csv", header, _km_rows(curve))
-        amask = analysis.z == group
-        w = None if analysis_weights is None else analysis_weights[amask]
-        curve = surv.kaplan_meier(analysis.times[amask], analysis.events[amask], w)
-        _write_csv(out_dir / f"km_adjusted_{label}.csv", header, _km_rows(curve))
+    samples = (("unadjusted", cohort, None), ("adjusted", analysis, analysis_weights))
+    # a finite weight can still overflow a weighted sum: stop rather than write inf or nan
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        curves = {}
+        for label, group in (("control", 0.0), ("treated", 1.0)):
+            for kind, sample, sample_weights in samples:
+                mask = sample.z == group
+                w = None if sample_weights is None else sample_weights[mask]
+                curves[f"km_{kind}_{label}.csv"] = surv.kaplan_meier(
+                    sample.times[mask], sample.events[mask], w
+                )
+        stat_u, p_u = surv.log_rank(cohort.times, cohort.events, cohort.z)
+        stat_a, p_a = surv.log_rank(
+            analysis.times, analysis.events, analysis.z, analysis_weights
+        )
+        names = list(SURVIVAL_COVARIATES) + ["Group"]
+        X = np.column_stack([analysis.matrix(SURVIVAL_COVARIATES), analysis.z])
+        cox = surv.fit_cox(
+            analysis.times, analysis.events, X, names=names, weights=analysis_weights
+        )
+        aalen = surv.fit_aalen(
+            analysis.times, analysis.events, X, names=names, weights=analysis_weights
+        )
 
-    stat_u, p_u = surv.log_rank(cohort.times, cohort.events, cohort.z)
-    stat_a, p_a = surv.log_rank(
-        analysis.times, analysis.events, analysis.z, analysis_weights
-    )
+    # every fit has succeeded, so a failing stage leaves no file changed
+    for name, curve in curves.items():
+        _write_csv(out_dir / name, header, _km_rows(curve))
     _write_json(
         out_dir / "logrank.json",
         {
@@ -575,12 +590,6 @@ def cmd_survival(config: RunConfig) -> int:
             "adjusted": {"statistic": stat_a, "p": p_a},
             "adjustment": adjustment,
         },
-    )
-
-    names = list(SURVIVAL_COVARIATES) + ["Group"]
-    X = np.column_stack([analysis.matrix(SURVIVAL_COVARIATES), analysis.z])
-    cox = surv.fit_cox(
-        analysis.times, analysis.events, X, names=names, weights=analysis_weights
     )
     _write_json(
         out_dir / "cox.json",
@@ -608,10 +617,6 @@ def cmd_survival(config: RunConfig) -> int:
             "loglik": cox.loglik,
             "n": int(analysis.n),
         },
-    )
-
-    aalen = surv.fit_aalen(
-        analysis.times, analysis.events, X, names=names, weights=analysis_weights
     )
     _write_json(
         out_dir / "aalen.json",
@@ -721,7 +726,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return STAGES[args.command][0](config)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, FileNotFoundError, OSError, FloatingPointError) as exc:
         print(f"qcausal {args.command}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

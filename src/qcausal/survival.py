@@ -324,9 +324,11 @@ def fit_cox(
         n_iter = max_iter
 
     se, z, p = _wald(beta, np.linalg.pinv(info))
-    hr = np.exp(beta)
-    ci_low = np.exp(beta - 1.96 * se)
-    ci_high = np.exp(beta + 1.96 * se)
+    # past separation a bound can overflow; inf is then its value
+    with np.errstate(over="ignore"):
+        hr = np.exp(beta)
+        ci_low = np.exp(beta - 1.96 * se)
+        ci_high = np.exp(beta + 1.96 * se)
 
     score_chi2 = float(score_vec0 @ np.linalg.pinv(info0) @ score_vec0)
     score_df = X.shape[1]

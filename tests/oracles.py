@@ -10,7 +10,8 @@ greedy matcher that sums the weighted squared gaps in fractions.Fraction,
 and the earlier optimal matcher, which hands scipy's assignment solver a
 dense cost matrix with sentinel prices; the genetic fitness oracles read
 the matched arms in pair order (the earlier fitness) or in subject order
-(the set-based one).  The boosted-tree oracles are the earlier per-node
+(the set-based one).  The balance oracles are the earlier per-column arm
+statistics, `_arm_stats` and `_smd`, with the SMD and Welch test on them.  The boosted-tree oracles are the earlier per-node
 argsort, scalar split scan and row-by-row tree walk.  The survival
 oracles are the earlier estimators that rebuilt the at-risk set once per
 event time, and Harrell's C that compared every event with every later
@@ -29,7 +30,8 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from qcausal import classical
-from qcausal.adjust import MatchSet, _pearson
+from qcausal._tails import t_sf
+from qcausal.adjust import MatchSet, _pearson, effective_sample_size
 from qcausal.cmaes import CmaesConfig, CmaesState, _decompose, _strategy
 from qcausal.classical import GbmModel, TreeNode, _sigmoid
 from qcausal.survival import (
@@ -468,6 +470,77 @@ def assignment_optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSe
             unmatched.append(int(treated[r]))
     pairs.sort()
     return MatchSet(tuple(pairs), tuple(sorted(unmatched)), caliper)
+
+
+# ---------------------------------------------------------------------------
+# balance reference: the per-column arm statistics that the weight-row
+# kernel replaced, verbatim, and the SMD and Welch test built on them
+# ---------------------------------------------------------------------------
+
+
+def _arm_stats(values, weights=None, binary=False) -> tuple[float, float, float]:
+    """One arm's mean, variance and effective size.  Unweighted, the sample
+    mean and ddof=1 variance; weighted, the weighted mean and variance with
+    the effective-sample-size dof correction.  A dichotomous arm (`binary`)
+    takes p*(1-p) as its variance."""
+    if weights is None:
+        mean, n = values.mean(), float(len(values))
+    else:
+        wsum = weights.sum()
+        mean, n = float(weights @ values / wsum), effective_sample_size(weights)
+    if binary:
+        var = mean * (1.0 - mean)
+    elif n <= 1:
+        var = 0.0
+    elif weights is None:
+        var = values.var(ddof=1)
+    else:
+        var = float(weights @ (values - mean) ** 2 / wsum) * n / (n - 1.0)
+    return mean, var, n
+
+
+def _smd(columns, binary, t_idx, c_idx, weights=None) -> np.ndarray:
+    """Signed SMD of each row of `columns` between the subjects `t_idx` and
+    `c_idx`, each arm's values taken in that order.  Continuous columns pool
+    the two arm variances; dichotomous ones (`binary`) use p*(1-p) in place
+    of the variance.  A zero pooled variance gives 0 for equal means, else
+    an infinite SMD."""
+    out = np.empty(len(columns))
+    for j, (col, is_binary) in enumerate(zip(columns, binary)):
+        (mt, vt, _), (mc, vc, _) = [
+            _arm_stats(col[idx], None if weights is None else weights[idx], is_binary)
+            for idx in (t_idx, c_idx)
+        ]
+        pooled = (vt + vc) / 2.0
+        if pooled <= 0:
+            out[j] = 0.0 if mt == mc else math.copysign(math.inf, mt - mc)
+        else:
+            out[j] = (mt - mc) / math.sqrt(pooled)
+    return out
+
+
+def _arms(z) -> tuple[np.ndarray, np.ndarray]:
+    z = np.asarray(z, dtype=float)
+    return np.flatnonzero(z == 1.0), np.flatnonzero(z == 0.0)
+
+
+def column_smd(values, z, weights=None) -> float:
+    """The earlier `adjust.smd`: `_smd` of one column, its arms in subject
+    order."""
+    values = np.asarray(values, dtype=float)
+    binary = set(np.unique(values)) <= {0.0, 1.0}
+    return float(_smd(values[None], [binary], *_arms(z), weights)[0])
+
+
+def welch_p(values, z, weights=None) -> float:
+    """The earlier `adjust.two_sample_t_test` on `_arm_stats`."""
+    values = np.asarray(values, dtype=float)
+    (mt, vt, nt), (mc, vc, nc) = (
+        _arm_stats(values[idx], None if weights is None else weights[idx]) for idx in _arms(z)
+    )
+    se2 = vt / nt + vc / nc
+    df = se2**2 / ((vt / nt) ** 2 / (nt - 1.0) + (vc / nc) ** 2 / (nc - 1.0))
+    return 2.0 * t_sf(abs((mt - mc) / math.sqrt(se2)), df)
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,84 @@ class TestBalanceReport:
         }
 
 
+class TestBalanceKernel:
+    """`smd`, `two_sample_t_test`, `balance_report` and the genetic fitness
+    read arm moments from one weight-row kernel."""
+
+    def columns(self, rng, n):
+        """A continuous column far from zero, a tie-heavy integer one and a
+        0/1 one (the last for the SMD alone)."""
+        return (
+            rng.normal(60.0, 10.0, n),
+            rng.integers(1, 5, n).astype(float),
+            rng.integers(0, 2, n).astype(float),
+        )
+
+    def test_smd_and_welch_match_the_per_column_oracle(self):
+        """To 1e-12 relative; an SMD near 0 to 1e-14 absolute, the rounding
+        the oracle's unshifted weighted means of values near 60 carry (at
+        seed 7, ATE weights, the kernel lies 3e-18 from the exact SMD
+        -1.1169313482063e-05, the oracle 2.6e-15)."""
+        import oracles
+
+        checked = 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(12, 300))
+            z = (rng.random(n) < 0.4).astype(float)
+            z[:2], z[2:4] = 1.0, 0.0
+            ps = rng.uniform(0.05, 0.95, n)
+            for weights in (None, *(compute_weights(ps, z, s).weights for s in ("ate", "matching"))):
+                for j, values in enumerate(self.columns(rng, n)):
+                    expected = oracles.column_smd(values, z, weights)
+                    assert smd(values, z, weights) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+                    if j < 2:
+                        expected = oracles.welch_p(values, z, weights)
+                        assert two_sample_t_test(values, z, weights) == pytest.approx(
+                            expected, rel=1e-12, abs=0
+                        )
+                    checked += 1
+        assert checked == 30 * 3 * 3
+
+    def test_two_pairings_of_one_matched_set_report_bit_equal(self):
+        covariates = ["Age", "Sex", "BMI", "ASA", "Stage"]
+        for seed in range(5):
+            config = SynthConfig(n=400, seed=seed)
+            cohort = generate_synthetic_cohort(config)
+            ps = true_propensity(config, cohort.columns["Stage"], cohort.columns["Sex"])
+            match = nearest_neighbor_match(ps, cohort.z)
+            treated, control = zip(*match.pairs)
+            repaired = MatchSet(
+                tuple(zip(treated[::-1], control[1:] + control[:1])),
+                match.unmatched_treated,
+                match.caliper,
+            )
+            assert balance_report(cohort, ps, repaired, covariates) == balance_report(
+                cohort, ps, match, covariates
+            )
+
+    def test_report_after_equals_the_genetic_fitness(self):
+        """The balance the report gives the returned match, over the genetic
+        covariates, is the fitness that selected it."""
+        from qcausal.adjust import _GreedyCore
+        from qcausal.cli import MODEL_COVARIATES
+
+        for seed in range(3):
+            config = SynthConfig(n=300, seed=seed)
+            cohort = generate_synthetic_cohort(config)
+            ps = true_propensity(config, cohort.columns["Stage"], cohort.columns["Sex"])
+            X = cohort.matrix(MODEL_COVARIATES)
+            match = genetic_match(X, cohort.z, ps, population=8, generations=2, seed=seed)
+            core = _GreedyCore(ps, cohort.z, score_caliper(ps))
+            taken = {t: int(np.searchsorted(core.control, c)) for t, c in match.pairs}
+            picks = np.array([[taken.get(t, len(core.control)) for t in core.treated[core.order]]])
+            assert core.match_set(picks[0]) == match
+            report = balance_report(cohort, ps, match, MODEL_COVARIATES)
+            assert report.mean_abs_smd_after == pytest.approx(
+                core.fitness(picks, X)[0], rel=1e-12, abs=0
+            )
+
+
 class TestOverlapExactBalance:
     def test_logistic_scores_balance_model_covariates_exactly(self):
         config = SynthConfig(n=400, seed=12)

@@ -727,6 +727,60 @@ class TestCoxRecord:
         assert record["converged"] is model.converged
 
 
+class TestFailedStage:
+    """A stage that exits 1 leaves every file of the directory as it was."""
+
+    def snapshot(self, out):
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def analysed_dir(self, tmp_path, seed):
+        out = prepared_dir(tmp_path, n=20, seed=seed)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "mw") == EXIT_OK
+        assert run("survival", "--out-dir", str(out)) == EXIT_OK
+        return out
+
+    def test_adjust_whose_balance_report_fails(self, tmp_path, capsys):
+        out = self.analysed_dir(tmp_path, seed=3)
+        before = self.snapshot(out)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "optimal") == EXIT_FAILURE
+        assert "need at least two non-empty categories" in capsys.readouterr().err
+        assert self.snapshot(out) == before
+
+    def test_survival_whose_aalen_fit_fails(self, tmp_path, capsys):
+        out = self.analysed_dir(tmp_path, seed=1)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        before = self.snapshot(out)
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        assert "design is rank-deficient" in capsys.readouterr().err
+        assert self.snapshot(out) == before
+
+    def test_survival_whose_weights_overflow(self, tmp_path, capsys):
+        """A finite weight of 1e308 overflows the weighted sums."""
+        out = self.analysed_dir(tmp_path, seed=3)
+        header, first, *rest = (out / "weights.csv").read_text().splitlines()
+        first = f"{first.split(',')[0]},1e308"
+        (out / "weights.csv").write_text("\n".join([header, first, *rest]) + "\n")
+        before = self.snapshot(out)
+        assert run("survival", "--out-dir", str(out)) == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("qcausal survival: overflow encountered")
+        assert self.snapshot(out) == before
+
+
+def test_separated_cox_fit_writes_strict_json(tmp_path, capsys):
+    """An overflowing confidence bound is written as null, not Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    out = prepared_dir(tmp_path, n=20, seed=2)
+    assert run("adjust", "--out-dir", str(out), "--adjust", "genetic100") == EXIT_OK
+    assert run("survival", "--out-dir", str(out)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    record = json.loads((out / "cox.json").read_text(), parse_constant=refuse)
+    assert record["separation"] is True
+    assert None in [bound for v in record["variables"].values() for bound in (v["CI_low"], v["CI_high"])]
+
+
 class TestPipeline:
     def test_end_to_end_and_idempotent(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
