@@ -557,8 +557,8 @@ def cmd_survival(config: RunConfig) -> int:
 
     header = ["time", "survival", "at_risk", "events"]
     samples = (("unadjusted", cohort, None), ("adjusted", analysis, analysis_weights))
-    # a finite weight can still overflow a weighted sum: stop rather than write inf or nan
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
+    # a finite weight can still overflow a weighted sum: stop rather than write inf
+    with np.errstate(over="raise"):
         curves = {}
         for label, group in (("control", 0.0), ("treated", 1.0)):
             for kind, sample, sample_weights in samples:

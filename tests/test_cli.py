@@ -739,11 +739,17 @@ class TestFailedStage:
         assert run("survival", "--out-dir", str(out)) == EXIT_OK
         return out
 
-    def test_adjust_whose_balance_report_fails(self, tmp_path, capsys):
+    def test_adjust_whose_balance_report_fails(self, tmp_path, capsys, monkeypatch):
+        # a match would replace weights.csv by pairs.csv if it wrote before the report
         out = self.analysed_dir(tmp_path, seed=3)
         before = self.snapshot(out)
-        assert run("adjust", "--out-dir", str(out), "--adjust", "optimal") == EXIT_FAILURE
-        assert "need at least two non-empty categories" in capsys.readouterr().err
+
+        def fail(*args, **kwargs):
+            raise ValueError("balance report failed")
+
+        monkeypatch.setattr("qcausal.adjust.balance_report", fail)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_FAILURE
+        assert "balance report failed" in capsys.readouterr().err
         assert self.snapshot(out) == before
 
     def test_survival_whose_aalen_fit_fails(self, tmp_path, capsys):
