@@ -482,7 +482,8 @@ def chi_square_test(categories, z, weights=None) -> float:
 
 @dataclass(frozen=True)
 class BalanceRow:
-    """One covariate's balance; the after-values are None for an empty match."""
+    """One covariate's balance; `reason` holds the error of each after-value
+    that is None because it cannot be computed."""
 
     covariate: str
     smd_before: float
@@ -490,6 +491,7 @@ class BalanceRow:
     test: str
     p_before: float
     p_after: float | None
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -497,6 +499,7 @@ class BalanceReport:
     rows: tuple[BalanceRow, ...]
     mean_abs_smd_before: float
     mean_abs_smd_after: float | None
+    smd_after_omitted: tuple[str, ...] = ()  # covariates the mean after leaves out
 
 
 def balance_report(
@@ -512,7 +515,10 @@ def balance_report(
     balance depends only on its matched set.  An all-zero row, such as a
     match without pairs, leaves every after-value None.  Continuous
     covariates get Welch's t-test, binary and ordinal ones the chi-square
-    test.
+    test.  An after-value whose statistic raises ValueError, such as an
+    infinite SMD or a test on one category, is None with its reason, and
+    the mean |SMD| after is over the covariates with a value (None if none
+    has one).  The before-values still raise.
     """
     z = cohort.z
     if isinstance(adjustment, WeightVector):
@@ -535,12 +541,20 @@ def balance_report(
         test = two_sample_t_test if continuous else chi_square_test
         values = cohort.columns[name]
         smd_before, p_before = smd(values, z), test(values, z)
-        smd_after = p_after = None
+        after, errors = {}, []
         if adjusted:
-            smd_after, p_after = smd(values, z, row), test(values, z, row)
+            for key, statistic in (("smd_after", smd), ("p_after", test)):
+                try:
+                    after[key] = statistic(values, z, row)
+                except ValueError as error:
+                    errors.append(f"{key}: {error}")
         label = "t-test" if continuous else "chisq"
-        rows.append(BalanceRow(name, smd_before, smd_after, label, p_before, p_after))
+        rows.append(BalanceRow(
+            name, smd_before, after.get("smd_after"), label, p_before, after.get("p_after"),
+            "; ".join(errors) or None,
+        ))
 
+    kept = [abs(r.smd_after) for r in rows if r.smd_after is not None]
+    omitted = tuple(r.covariate for r in rows if r.smd_after is None)
     mean_before = float(np.mean([abs(r.smd_before) for r in rows]))
-    mean_after = float(np.mean([abs(r.smd_after) for r in rows])) if adjusted else None
-    return BalanceReport(tuple(rows), mean_before, mean_after)
+    return BalanceReport(tuple(rows), mean_before, float(np.mean(kept)) if kept else None, omitted)

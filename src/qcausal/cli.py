@@ -438,7 +438,7 @@ def _write_balance(out_dir: Path, report, method: str) -> None:
 
     _write_csv(
         out_dir / "balance.csv",
-        ["covariate", "smd_before", "smd_after", "test", "p_before", "p_after"],
+        ["covariate", "smd_before", "smd_after", "test", "p_before", "p_after", "reason"],
         [
             (
                 r["covariate"],
@@ -447,6 +447,7 @@ def _write_balance(out_dir: Path, report, method: str) -> None:
                 r["test"],
                 cell(r["p_before"]),
                 cell(r["p_after"]),
+                r.get("reason") or "",
             )
             for r in report["rows"]
         ],
@@ -506,7 +507,7 @@ def cmd_adjust(config: RunConfig) -> int:
         (out_dir / "weights.csv").unlink(missing_ok=True)
         _write_csv(out_dir / "pairs.csv", ["treated", "control"], list(adjustment.pairs))
     _write_balance(out_dir, {**asdict(report), **record}, config.adjust)
-    if report.mean_abs_smd_after is None:
+    if isinstance(adjustment, adj.MatchSet) and not adjustment.pairs:
         print("qcausal adjust: empty match set; reports written", file=sys.stderr)
         return EXIT_EMPTY_MATCH
     return EXIT_OK

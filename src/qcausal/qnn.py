@@ -3,6 +3,8 @@
 The prediction is the expectation of a trainable Pauli-sum observable over the
 encoded state, f(x, theta) = <psi(x, phi)| H(a, b) |psi(x, phi)>, evaluated
 exactly or from `shots` shots per Pauli term under a noise model (`EvalMode`).
+H = a*I + sum_{i,P} b[i, P] * P_i trains every term, so b is one (n_qubits, 3)
+matrix, packed for CMA-ES as (a, b row by row, angles) and read as is.
 Training minimizes the objective L(theta) that `_loss` defines, with the
 gradient-free CMA-ES loop from `qcausal.cmaes`.  Parameter-shift gradients
 are provided as a verification tool for exact evaluation.
@@ -16,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cmaes
 from .metrics import has_both_classes
-from .quantum import AXES, NoiseModel, PauliSumObservable, ProductStates, encode
+from .quantum import NoiseModel, ProductStates, encode
 
 # The single-circuit API, bound here as well: perfbench/child.py wraps these
 # names in this module when it traces a run.
@@ -83,52 +85,43 @@ class QnnConfig:
         return 1 + 3 * self.n_qubits + self.n_circuit_angles
 
 
-def _coeff_keys(n_qubits: int) -> list[tuple[int, str]]:
-    return [(q, ax) for q in range(n_qubits) for ax in AXES]
-
-
 @dataclass(frozen=True)
 class QnnParams:
-    """Trainable parameters; packed order is (a, b by (qubit, X<Y<Z), angles)."""
+    """a, b and the circuit angles, with b = `pauli_coeffs` an (n_qubits, 3)
+    matrix (columns X, Y, Z); arrays are held as read-only float copies."""
 
     identity_coeff: float
-    pauli_coeffs: Mapping[tuple[int, str], float]
+    pauli_coeffs: np.ndarray
     circuit_angles: np.ndarray | None = None
 
     def __post_init__(self):
-        coeffs = {k: float(v) for k, v in dict(self.pauli_coeffs).items()}
-        object.__setattr__(self, "pauli_coeffs", coeffs)
-        if self.circuit_angles is not None:
-            angles = np.array(self.circuit_angles, dtype=float)
-            angles.flags.writeable = False
-            object.__setattr__(self, "circuit_angles", angles)
-
-    def observable(self) -> PauliSumObservable:
-        return PauliSumObservable(self.identity_coeff, self.pauli_coeffs)
+        for name in ("pauli_coeffs", "circuit_angles"):
+            values = getattr(self, name)
+            if values is not None:
+                values = np.array(values, dtype=float)
+                values.flags.writeable = False
+                object.__setattr__(self, name, values)
+        if self.pauli_coeffs.ndim != 2 or self.pauli_coeffs.shape[1] != 3:
+            raise ValueError(f"expected (n_qubits, 3) coefficients, got {self.pauli_coeffs.shape}")
 
     def pack(self) -> np.ndarray:
-        n = 1 + max(q for q, _ in self.pauli_coeffs)
-        flat = [self.identity_coeff]
-        flat.extend(self.pauli_coeffs[key] for key in _coeff_keys(n))
-        if self.circuit_angles is not None:
-            flat.extend(self.circuit_angles)
-        return np.array(flat, dtype=float)
+        angles = () if self.circuit_angles is None else self.circuit_angles
+        return np.concatenate(([self.identity_coeff], self.pauli_coeffs.ravel(), angles))
 
 
 def unpack_params(vector: Sequence[float], config: QnnConfig) -> QnnParams:
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (config.n_params,):
         raise ValueError(f"expected {config.n_params} packed parameters, got {vector.shape}")
-    keys = _coeff_keys(config.n_qubits)
-    coeffs = dict(zip(keys, vector[1 : 1 + len(keys)]))
-    angles = vector[1 + len(keys) :].copy() if config.variational_enabled else None
-    return QnnParams(float(vector[0]), coeffs, angles)
+    n = config.n_qubits
+    angles = vector[1 + 3 * n :] if config.variational_enabled else None
+    return QnnParams(float(vector[0]), vector[1 : 1 + 3 * n].reshape(n, 3), angles)
 
 
 def initial_params(config: QnnConfig) -> QnnParams:
     """Start near the class-balance midpoint: a = 0.5, small random b, zero angles."""
     rng = np.random.default_rng(config.seed)
-    coeffs = {key: float(rng.uniform(-0.1, 0.1)) for key in _coeff_keys(config.n_qubits)}
+    coeffs = rng.uniform(-0.1, 0.1, (config.n_qubits, 3))
     angles = np.zeros(config.n_circuit_angles) if config.variational_enabled else None
     return QnnParams(0.5, coeffs, angles)
 
@@ -141,7 +134,7 @@ def _states(params: QnnParams, X, config: QnnConfig) -> ProductStates:
     return encode(X, config.layers, variational)
 
 
-def _outputs(states: ProductStates, obs: PauliSumObservable, config: QnnConfig, seed) -> np.ndarray:
+def _outputs(states: ProductStates, params: QnnParams, config: QnnConfig, seed) -> np.ndarray:
     """f per row of `states` under the configured evaluation mode.
 
     Stochastic modes draw every row and term from one generator seeded with
@@ -149,14 +142,14 @@ def _outputs(states: ProductStates, obs: PauliSumObservable, config: QnnConfig, 
     """
     mode = config.eval_mode
     if mode.shots is None:
-        return states.expectation(obs)
+        return states.expectation(params.identity_coeff, params.pauli_coeffs)
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    return states.sample(obs, mode.shots, rng, mode.noise)
+    return states.sample(params.identity_coeff, params.pauli_coeffs, mode.shots, rng, mode.noise)
 
 
 def _predict_rows(params: QnnParams, X, config: QnnConfig, seed=None) -> np.ndarray:
     """f(x_i) for every row of X under the configured evaluation mode."""
-    return _outputs(_states(params, X, config), params.observable(), config, seed)
+    return _outputs(_states(params, X, config), params, config, seed)
 
 
 def predict(params: QnnParams, x: Sequence[float], config: QnnConfig, seed=None) -> float:
@@ -199,11 +192,10 @@ def _loss(params: QnnParams, states: ProductStates, y, w, config: QnnConfig, see
     with f raw (unclipped) under the configured eval mode and Var_f exact in
     every mode.
     """
-    obs = params.observable()
-    residual = _outputs(states, obs, config, seed) - y
+    residual = _outputs(states, params, config, seed) - y
     value = float(np.sum(w * residual * residual))
     if config.alpha > 0:
-        value += config.alpha * float(np.sum(states.variance(obs)))
+        value += config.alpha * float(np.sum(states.variance(params.pauli_coeffs)))
     return value
 
 
@@ -228,7 +220,7 @@ def gradient_parameter_shift(params: QnnParams, x, config: QnnConfig) -> np.ndar
         # one angle vector per row: unshifted, then each angle +pi/2, then each -pi/2
         params = replace(params, circuit_angles=params.circuit_angles + shifts)
     states = _states(params, np.repeat(np.asarray(x, dtype=float)[None], 1 + 2 * m, axis=0), config)
-    f = states.expectation(params.observable())
+    f = states.expectation(params.identity_coeff, params.pauli_coeffs)
     return np.concatenate([[1.0], states.bloch[0].ravel(), (f[1 : 1 + m] - f[1 + m :]) / 2.0])
 
 

@@ -5,9 +5,10 @@ on every qubit, a data-dependent phase exp(+i * x_i * Z_i) on qubit i, and an
 optional trainable RZ/RY pair per qubit.  There are no entangling gates, so
 every state is a product of one-qubit states: `encode` folds each qubit's
 gates over many feature rows at once, and `apply_circuit` is its one-row case,
-which `expectation` and `variance` read.  Observables
-H = a*I + sum_{i,P} b_{i,P} * P_i are read off each qubit's Bloch vector r_i:
-<H> = a + sum_i b_i . r_i and
+which `expectation` and `variance` read; only this single-circuit API takes a
+`PauliSumObservable`.  `ProductStates` reads H = a*I + sum_{i,P} b[i, P] * P_i
+as the scalar a and the (n_qubits, 3) matrix b, columns X, Y, Z: with each
+qubit's Bloch vector r_i, <H> = a + sum_i b_i . r_i and
 Var(H) = sum_i (|b_i|^2 - (b_i . r_i)^2).  Each sampled Pauli term counts
 Binomial(shots, (1 - r_{i,P}) / 2) outcomes -1.  Gate noise (a uniformly
 random Pauli after each gate with probability p) is the depolarizing channel,
@@ -123,7 +124,7 @@ def build_feature_map(
 
 @dataclass(frozen=True)
 class PauliSumObservable:
-    """a*I + sum of b_{i,P} * P_i with P in {X, Y, Z}."""
+    """a*I + sum of b_{i,P} * P_i with P in {X, Y, Z}, keyed by (qubit, axis)."""
 
     identity_coeff: float
     pauli_coeffs: Mapping[tuple[int, str], float] = field(default_factory=dict)
@@ -142,12 +143,11 @@ class PauliSumObservable:
             coeffs[(int(qubit), axis)] = float(value)
         object.__setattr__(self, "pauli_coeffs", coeffs)
 
-    def max_qubit(self) -> int:
-        return max((q for q, _ in self.pauli_coeffs), default=-1)
-
     def coefficient_matrix(self, n_qubits: int) -> np.ndarray:
         """b as an (n_qubits, 3) matrix, columns in AXES order."""
-        _check_bounds(self, n_qubits)
+        top = max((q for q, _ in self.pauli_coeffs), default=-1)
+        if top >= n_qubits:
+            raise ValueError(f"observable touches qubit {top} but the state has {n_qubits} qubits")
         b = np.zeros((n_qubits, 3))
         for (qubit, axis), value in self.pauli_coeffs.items():
             b[qubit, AXES.index(axis)] = value
@@ -166,13 +166,6 @@ class NoiseModel:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-
-
-def _check_bounds(obs: PauliSumObservable, n: int) -> None:
-    if obs.max_qubit() >= n:
-        raise ValueError(
-            f"observable touches qubit {obs.max_qubit()} but the state has {n} qubits"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +199,17 @@ class ProductStates:
         """The 2**n amplitudes of the first row; qubit 0 is the least significant bit."""
         return reduce(np.kron, self.amplitudes[0, ::-1], np.ones(1))
 
-    def expectation(self, obs: PauliSumObservable) -> np.ndarray:
-        """Exact <H> per row."""
-        b = obs.coefficient_matrix(self.amplitudes.shape[1])
-        return obs.identity_coeff + np.einsum("rqp,qp->r", self.bloch, b)
+    def expectation(self, a: float, b: np.ndarray) -> np.ndarray:
+        """Exact <H> per row, H = a*I + sum_{i,P} b[i, P] * P_i."""
+        return a + np.einsum("rqp,qp->r", self.bloch, b)
 
-    def variance(self, obs: PauliSumObservable) -> np.ndarray:
+    def variance(self, b: np.ndarray) -> np.ndarray:
         """Exact Var(H) per row: qubits are independent and (b . sigma)^2 = |b|^2 I."""
-        b = obs.coefficient_matrix(self.amplitudes.shape[1])
         along = np.einsum("rqp,qp->rq", self.bloch, b)
         return np.maximum(np.sum(b * b) - np.sum(along * along, axis=1), 0.0)
 
     def sample(
-        self, obs: PauliSumObservable, shots: int, rng: np.random.Generator,
+        self, a: float, b: np.ndarray, shots: int, rng: np.random.Generator,
         noise: NoiseModel = NoiseModel(),
     ) -> np.ndarray:
         """Shot estimate of <H> per row, each nonzero Pauli term measured `shots` times.
@@ -228,13 +219,12 @@ class ProductStates:
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        b = obs.coefficient_matrix(self.amplitudes.shape[1])
         qubits, axes = np.nonzero(b)
         shrink = (1.0 - 4.0 * noise.depolarizing_prob / 3.0) ** self.gate_counts[qubits]
         p1 = np.clip((1.0 - shrink * self.bloch[:, qubits, axes]) / 2.0, 0.0, 1.0)
         flip = noise.readout_flip_prob
         ones = rng.binomial(shots, p1 * (1.0 - flip) + (1.0 - p1) * flip)
-        return obs.identity_coeff + (1.0 - 2.0 * ones / shots) @ b[qubits, axes]
+        return a + (1.0 - 2.0 * ones / shots) @ b[qubits, axes]
 
 
 def _fold(ops: Iterable[tuple], n_qubits: int, rows: int) -> ProductStates:
@@ -303,21 +293,22 @@ def apply_circuit(circuit: EncodingCircuit) -> ProductStates:
     return encode(circuit.feature_angles[None, :], circuit.layers, circuit.variational_angles)
 
 
-def _one_row(state: ProductStates) -> ProductStates:
-    rows = state.amplitudes.shape[0]
+def _one_row_coefficients(state: ProductStates, obs: PauliSumObservable) -> np.ndarray:
+    """The coefficient matrix of `obs` for the one-row state of a single circuit."""
+    rows, n_qubits = state.amplitudes.shape[:2]
     if rows != 1:
         raise ValueError(f"expected the one-row state of a single circuit, got {rows} rows")
-    return state
+    return obs.coefficient_matrix(n_qubits)
 
 
 def expectation(state: ProductStates, obs: PauliSumObservable) -> float:
     """Exact <H> of a one-row state, such as `apply_circuit` returns."""
-    return float(_one_row(state).expectation(obs)[0])
+    return float(state.expectation(obs.identity_coeff, _one_row_coefficients(state, obs))[0])
 
 
 def variance(state: ProductStates, obs: PauliSumObservable) -> float:
     """Exact Var(H) of a one-row state, such as `apply_circuit` returns."""
-    return float(_one_row(state).variance(obs)[0])
+    return float(state.variance(_one_row_coefficients(state, obs))[0])
 
 
 def sample_expectation(
@@ -339,4 +330,5 @@ def sample_noisy_expectation(
     With all noise probabilities zero this is `sample_expectation`.
     """
     rng = np.random.default_rng(seed)
-    return float(apply_circuit(circuit).sample(obs, shots, rng, noise)[0])
+    b = obs.coefficient_matrix(circuit.n_qubits)
+    return float(apply_circuit(circuit).sample(obs.identity_coeff, b, shots, rng, noise)[0])

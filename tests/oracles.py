@@ -174,7 +174,8 @@ def run_gates(gates, n_qubits):
 def sample_noisy_expectation_from_gates(gates, n_qubits, obs, noise, shots, seed):
     """Noisy shot estimate of <H> for an explicit gate sequence."""
     rng = np.random.default_rng(seed)
-    return float(_gate_states(gates, n_qubits).sample(obs, shots, rng, noise)[0])
+    b = obs.coefficient_matrix(n_qubits)
+    return float(_gate_states(gates, n_qubits).sample(obs.identity_coeff, b, shots, rng, noise)[0])
 
 
 # ---------------------------------------------------------------------------

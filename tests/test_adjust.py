@@ -527,6 +527,32 @@ class TestBalanceReport:
         for row, unit_row in zip(report.rows, unit.rows):
             assert row.smd_after is None and row.p_after is None
             assert (row.smd_before, row.p_before) == (unit_row.smd_before, unit_row.p_before)
+        assert report.smd_after_omitted == tuple(self.COVARIATES)
+        assert all(row.reason is None for row in report.rows)
+
+    def test_one_pair_match_reports_nulls_with_reasons(self):
+        cohort = generate_synthetic_cohort(SynthConfig(n=200, seed=9))
+        t, c = int(np.flatnonzero(cohort.z == 1)[0]), int(np.flatnonzero(cohort.z == 0)[0])
+        assert cohort.columns["Age"][t] != cohort.columns["Age"][c]
+        report = balance_report(cohort, None, MatchSet(((t, c),), (), 0.1), self.COVARIATES)
+        age = report.rows[0]
+        assert age.smd_after is None and age.p_after is None
+        assert age.reason == (
+            "smd_after: degenerate covariate: zero pooled variance with unequal means; "
+            "p_after: each group needs at least two observations"
+        )
+        kept = [abs(r.smd_after) for r in report.rows if r.smd_after is not None]
+        assert report.smd_after_omitted == tuple(
+            r.covariate for r in report.rows if r.smd_after is None
+        )
+        assert report.mean_abs_smd_after == (float(np.mean(kept)) if kept else None)
+        # direct callers still get the error
+        row = np.zeros(cohort.n)
+        row[[t, c]] = 1.0
+        with pytest.raises(ValueError, match="degenerate covariate"):
+            smd(cohort.columns["Age"], cohort.z, row)
+        with pytest.raises(ValueError, match="at least two observations"):
+            two_sample_t_test(cohort.columns["Age"], cohort.z, row)
 
     def test_test_names_follow_variable_kind(self):
         from qcausal.adjust import WeightVector

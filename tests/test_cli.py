@@ -925,6 +925,61 @@ class TestBalanceRecord:
         assert payload["max_weight"] == w.max()
 
 
+def strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-standard constant {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+class TestBalanceNulls:
+    """A valid match always gets its file; an after-value that cannot be
+    computed is null with its reason, and the mean skips it."""
+
+    def adjusted_dir(self, tmp_path, n, model, adjust):
+        run(*gen_args(tmp_path, n=n, seed=3))
+        assert run("fit-ps", "--out-dir", str(tmp_path), "--model", model) == EXIT_OK
+        assert run("adjust", "--out-dir", str(tmp_path), "--adjust", adjust) == EXIT_OK
+        assert read_pairs(tmp_path / "pairs.csv")
+        with open(tmp_path / "balance.csv", newline="", encoding="utf-8") as handle:
+            table = {r["covariate"]: r for r in csv.DictReader(handle)}
+        return strict_json(tmp_path / "balance.json"), table
+
+    def test_one_level_covariate_after_optimal_match(self, tmp_path):
+        payload, table = self.adjusted_dir(tmp_path, 20, "lr", "optimal")
+        rows = {r["covariate"]: r for r in payload["rows"]}
+        assert rows["Sex"]["p_after"] is None and table["Sex"]["p_after"] == ""
+        want = "p_after: need at least two non-empty categories"
+        assert rows["Sex"]["reason"] == table["Sex"]["reason"] == want
+        assert rows["Sex"]["smd_after"] == 0.0
+        assert payload["smd_after_omitted"] == []
+        assert payload["mean_abs_smd_after"] == pytest.approx(
+            np.mean([abs(r["smd_after"]) for r in payload["rows"]]), rel=1e-15
+        )
+
+    def test_infinite_smd_after_one_pair_match(self, tmp_path):
+        payload, table = self.adjusted_dir(tmp_path, 30, "gbm", "nn")
+        assert payload["n_pairs"] == 1
+        rows = {r["covariate"]: r for r in payload["rows"]}
+        for name in ("Age", "BMI"):
+            assert rows[name]["smd_after"] is None and table[name]["smd_after"] == ""
+            assert rows[name]["p_after"] is None
+            assert rows[name]["reason"] == table[name]["reason"] == (
+                "smd_after: degenerate covariate: zero pooled variance with unequal means; "
+                "p_after: each group needs at least two observations"
+            )
+        assert payload["smd_after_omitted"] == ["Age", "BMI"]
+        kept = [abs(r["smd_after"]) for r in payload["rows"] if r["covariate"] not in ("Age", "BMI")]
+        assert payload["mean_abs_smd_after"] == float(np.mean(kept))
+
+    def test_computable_rows_have_no_reason(self, tmp_path):
+        out = prepared_dir(tmp_path, n=300, seed=2)
+        assert run("adjust", "--out-dir", str(out), "--adjust", "nn") == EXIT_OK
+        payload = strict_json(out / "balance.json")
+        assert all(r["reason"] is None for r in payload["rows"])
+        assert payload["smd_after_omitted"] == []
+
+
 def test_readme_lists_every_option_without_a_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"these options that have no flag:(.*?)\.", readme, re.S)

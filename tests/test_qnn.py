@@ -21,7 +21,7 @@ from qcausal.qnn import (
     total_loss,
     unpack_params,
 )
-from qcausal.quantum import EncodingCircuit, NoiseModel
+from qcausal.quantum import EncodingCircuit, NoiseModel, PauliSumObservable
 
 
 def loss_fit(params, X, y, w, config, seed=None):
@@ -37,11 +37,11 @@ def loss_variance(params, X, config):
     return both - loss_fit(params, X, y, w, config)
 
 
-def zeroed_params(config, overrides=None, a=0.0):
-    params = initial_params(config)
-    coeffs = {k: 0.0 for k in params.pauli_coeffs}
-    coeffs.update(overrides or {})
-    return QnnParams(a, coeffs, params.circuit_angles)
+def axis_params(axis, a=0.0):
+    """One qubit whose only Pauli term is `axis` with coefficient 1."""
+    b = np.zeros((1, 3))
+    b[0, "XYZ".index(axis)] = 1.0
+    return QnnParams(a, b)
 
 
 class TestConfig:
@@ -119,23 +119,49 @@ class TestPacking:
         with pytest.raises(ValueError):
             unpack_params(np.zeros(5), QnnConfig(n_qubits=4))
 
+    @pytest.mark.parametrize("n_qubits", [1, 4])
+    def test_initial_params_draw_the_scalar_stream(self, n_qubits):
+        config = QnnConfig(n_qubits=n_qubits, seed=11)
+        rng = np.random.default_rng(config.seed)
+        want = np.array([0.5, *(rng.uniform(-0.1, 0.1) for _ in range(3 * n_qubits))])
+        assert initial_params(config).pack().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variational", [False, True])
+    def test_unpacked_params_are_read_only_copies(self, variational):
+        config = QnnConfig(n_qubits=2, variational_enabled=variational)
+        vector = np.arange(config.n_params, dtype=float)
+        params = unpack_params(vector, config)
+        assert params.pauli_coeffs.shape == (2, 3)
+        assert params.pauli_coeffs[1].tolist() == [4.0, 5.0, 6.0]
+        vector[:] = -1.0
+        assert np.array_equal(params.pack(), np.arange(config.n_params))
+        arrays = [params.pauli_coeffs] + ([params.circuit_angles] if variational else [])
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7.0
+
+    def test_coefficients_must_be_a_three_column_matrix(self):
+        with pytest.raises(ValueError, match=r"\(n_qubits, 3\)"):
+            QnnParams(0.5, np.zeros(6))
+
 
 class TestPredict:
     def test_identity_only_observable_is_constant(self):
         config = QnnConfig(n_qubits=2)
-        params = QnnParams(0.3, {k: 0.0 for k in initial_params(config).pauli_coeffs})
+        params = QnnParams(0.3, np.zeros((config.n_qubits, 3)))
         for x in ([0.1, 0.5], [2.0, -1.0]):
             assert predict(params, x, config) == pytest.approx(0.3, abs=1e-14)
 
     def test_z_term_invisible_under_pure_feature_map(self):
         config = QnnConfig(n_qubits=1)
-        params = zeroed_params(config, {(0, "Z"): 1.0})
+        params = axis_params("Z")
         for x in ([0.0], [0.7], [2.5]):
             assert predict(params, x, config) == pytest.approx(0.0, abs=1e-12)
 
     def test_x_term_analytic_value(self):
         config = QnnConfig(n_qubits=1)
-        params = zeroed_params(config, {(0, "X"): 1.0})
+        params = axis_params("X")
         assert predict(params, [0.7], config) == pytest.approx(math.cos(1.4), abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -149,21 +175,21 @@ class TestPropensityClipping:
         self.config = QnnConfig(n_qubits=1, clip_epsilon=0.01)
 
     def test_upper_clamp(self):
-        params = QnnParams(1.7, {k: 0.0 for k in initial_params(self.config).pauli_coeffs})
+        params = QnnParams(1.7, np.zeros((self.config.n_qubits, 3)))
         assert predict_propensity(params, [0.3], self.config) == 0.99
 
     def test_lower_clamp(self):
-        params = QnnParams(-0.2, {k: 0.0 for k in initial_params(self.config).pauli_coeffs})
+        params = QnnParams(-0.2, np.zeros((self.config.n_qubits, 3)))
         assert predict_propensity(params, [0.3], self.config) == 0.01
 
     def test_interior_passthrough(self):
-        params = QnnParams(0.42, {k: 0.0 for k in initial_params(self.config).pauli_coeffs})
+        params = QnnParams(0.42, np.zeros((self.config.n_qubits, 3)))
         assert predict_propensity(params, [0.3], self.config) == pytest.approx(0.42, abs=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(a=st.floats(-3, 3, allow_nan=False), x=st.floats(0, math.pi, allow_nan=False))
     def test_always_inside_clip_band(self, a, x):
-        params = QnnParams(a, {k: 0.0 for k in initial_params(self.config).pauli_coeffs})
+        params = QnnParams(a, np.zeros((self.config.n_qubits, 3)))
         p = predict_propensity(params, [x], self.config)
         assert 0.01 <= p <= 0.99
 
@@ -171,14 +197,14 @@ class TestPropensityClipping:
 class TestLosses:
     def test_perfect_predictions_zero_loss(self):
         config = QnnConfig(n_qubits=1)
-        params = QnnParams(1.0, {k: 0.0 for k in initial_params(config).pauli_coeffs})
+        params = QnnParams(1.0, np.zeros((config.n_qubits, 3)))
         X = np.array([[0.2], [1.2]])
         assert loss_fit(params, X, [1, 1], [1, 1], config) == 0.0
 
     def test_single_row_weighted_value(self):
         # f = 0.5, y = 1, w = 2 -> 2 * 0.25 = 0.5
         config = QnnConfig(n_qubits=1)
-        params = QnnParams(0.5, {k: 0.0 for k in initial_params(config).pauli_coeffs})
+        params = QnnParams(0.5, np.zeros((config.n_qubits, 3)))
         assert loss_fit(params, [[0.4]], [1.0], [2.0], config) == pytest.approx(0.5, abs=1e-14)
 
     def test_loss_linear_in_weights(self):
@@ -211,12 +237,12 @@ class TestLosses:
 
     def test_variance_zero_for_identity_observable(self):
         config = QnnConfig(n_qubits=2)
-        params = QnnParams(0.7, {k: 0.0 for k in initial_params(config).pauli_coeffs})
+        params = QnnParams(0.7, np.zeros((config.n_qubits, 3)))
         assert loss_variance(params, [[0.1, 0.2]], config) == pytest.approx(0.0, abs=1e-15)
 
     def test_variance_of_z_on_equator_is_one(self):
         config = QnnConfig(n_qubits=1)
-        params = zeroed_params(config, {(0, "Z"): 1.0})
+        params = axis_params("Z")
         assert loss_variance(params, [[0.4]], config) == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_nonnegative_for_random_params(self):
@@ -240,7 +266,7 @@ class TestLosses:
     def test_total_loss_arithmetic(self):
         # Z term is invisible, so f = a = 0.5: L_fit = 2*(0.5)^2, L_var = Var(Z) = 1
         config = QnnConfig(n_qubits=1, alpha=1e-2)
-        params = zeroed_params(config, {(0, "Z"): 1.0}, a=0.5)
+        params = axis_params("Z", a=0.5)
         X, y, w = [[0.4]], [1.0], [2.0]
         assert total_loss(params, X, y, w, config) == pytest.approx(0.51, abs=1e-12)
 
@@ -361,7 +387,8 @@ class TestBatchedEngine:
             X = rng.uniform(0, math.pi, (12, n))
             y = (rng.random(12) < 0.5).astype(float)
             w = rng.uniform(0.5, 2.0, 12)
-            obs = params.observable()
+            terms = {(q, ax): params.pauli_coeffs[q, k] for q in range(n) for k, ax in enumerate("XYZ")}
+            obs = PauliSumObservable(params.identity_coeff, terms)
             gates = [EncodingCircuit(n, layers, row, params.circuit_angles).gate_ops() for row in X]
             f = np.array([oracles.dense_expectation(g, obs, n) for g in gates])
             var = np.array([oracles.dense_variance(g, obs, n) for g in gates])
@@ -472,3 +499,24 @@ class TestEncodingHoist:
         w[3] = 0.0
         with pytest.raises(ValueError, match="strictly positive"):
             fit(X, y, w, config=QnnConfig(n_qubits=2))
+
+
+class TestNoObservableOnTheTrainingPath:
+    """Training and scoring read the (n_qubits, 3) coefficient matrix
+    directly: no evaluation builds a PauliSumObservable or converts one."""
+
+    @pytest.mark.parametrize("variational", [False, True])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_fit_and_score_without_observables(self, monkeypatch, mode, variational):
+        from qcausal import cmaes
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the training path built or converted an observable")
+
+        monkeypatch.setattr(PauliSumObservable, "__post_init__", refuse)
+        monkeypatch.setattr(PauliSumObservable, "coefficient_matrix", refuse)
+        X, y, w = small_task()
+        config = QnnConfig(n_qubits=2, variational_enabled=variational, eval_mode=MODES[mode], seed=2)
+        fitted = fit(X, y, w, config=config, cmaes_config=cmaes.CmaesConfig(max_evaluations=40, seed=3))
+        scores = predict_propensities(fitted, X, seed=5)
+        assert scores.shape == (len(X),) and np.all(np.isfinite(scores))
