@@ -10,20 +10,26 @@ Trees are grown on presorted columns (the column blocks of Chen & Guestrin,
 XGBoost, 2016).  Each feature is sorted once per fit with a stable argsort; a
 child keeps its parent's orders by a stable boolean partition, so every node
 sees its rows in ascending value, ties in row order, with no sort of its own.
-A node scores every cut of every feature in one vectorised pass over the
-cumulative residual sums, with the same per-element arithmetic as a scalar
-scan.  The winner follows a sequential rule, not argmin: the first candidate
-in feature-then-threshold order, replaced by each later one whose SSE is
-lower by more than 1e-15.  A tree is applied to a whole matrix at once by
-splitting the block of row indices at each node.  While it fits, each leaf
-writes its value at the training rows that reach it, so the boosting update
-reads the new tree's outputs from that buffer and never routes the training
-matrix through the tree.
+A node's rows depend only on its path of splits, (feature, threshold, side)
+from the root, and later trees keep taking the same paths.  So what follows
+from the rows alone, the rows, their sorted orders, the cut positions and the
+children's partition, is built once per distinct split path per fit and
+shared by every tree that takes the path.  Each tree computes only what
+depends on its residuals: the node's sums, the purity test, the cumulative
+sums at the cuts and the gains, with the same per-element arithmetic as a
+scalar scan.  The winner follows a sequential rule, not argmin: the first
+candidate in feature-then-threshold order, replaced by each later one whose
+SSE is lower by more than 1e-15.  While it fits, each leaf writes its value at
+the training rows that reach it, so the boosting update reads the new tree's
+outputs from that buffer and never routes the training matrix through the
+tree.  Prediction applies the trees to a whole matrix at once and splits each
+distinct path's row block once per call, not once per tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,31 +143,92 @@ class TreeNode:
     value: float = 0.0
 
 
-def _best_split(X, residuals, orders, node_residuals):
+class _Path:
+    """The rows of X that one path of splits from the root selects, with what
+    follows from those rows alone.  Every tree of one fit, or of one
+    predict_gbm call, that takes the path shares this object, so its children
+    are partitioned once per distinct split and its cuts are found once.
+
+    `rows` ascends.  A path that still searches for splits (`depth` > 0, the
+    levels left below it) holds `orders`: row j lists its rows in ascending
+    X[:, j], ties in row order.
+    """
+
+    def __init__(self, X, rows, orders=None, depth=0):
+        self.X, self.rows, self.orders, self.depth = X, rows, orders, depth
+        self._children = {}
+
+    def split(self, feature, threshold):
+        """The (left, right) children under X[:, feature] <= threshold."""
+        key = (feature, threshold)
+        if key not in self._children:
+            self._children[key] = _partition(self, feature, threshold)
+        return self._children[key]
+
+    @cached_property
+    def cuts(self):
+        """Every cut of every feature, in feature-then-threshold order, as
+        (position in the flattened orders, left count, right count); None when
+        no feature has two distinct values."""
+        n = self.orders.shape[1]
+        xs = np.take_along_axis(self.X.T, self.orders, axis=1)  # X[orders[j], j] per row j
+        cuts = np.flatnonzero(xs[:, :-1] != xs[:, 1:])
+        if len(cuts) == 0:
+            return None
+        feature, at = np.divmod(cuts, n - 1)
+        left_n = at + 1
+        return feature * n + at, left_n.astype(float), (n - left_n).astype(float)
+
+
+def _root(X, depth=0) -> _Path:
+    """The path of no splits: every row of X, and the column orders (one
+    stable argsort per feature) when the tree below it searches for splits."""
+    # int32 halves what each path keeps, and `take` reads it about as fast as intp
+    index = np.int32 if len(X) <= 2**31 else np.intp
+    orders = np.argsort(X.T, axis=1, kind="stable").astype(index) if depth > 0 else None
+    return _Path(X, np.arange(len(X), dtype=index), orders, depth)
+
+
+def _partition(path: _Path, feature, threshold) -> tuple[_Path, _Path]:
+    """A stable partition of the path's rows and, while the children still
+    search for splits, of its orders, which keeps every order sorted, ties in
+    row order."""
+    X, rows, depth = path.X, path.rows, path.depth - 1
+    left = X[:, feature] <= threshold
+    row_left = left.take(rows)
+    orders = None, None
+    if path.orders is not None and depth > 0:
+        flat, order_left, d = path.orders.ravel(), left.take(path.orders).ravel(), len(path.orders)
+        orders = (
+            flat.compress(order_left).reshape(d, -1),
+            flat.compress(~order_left).reshape(d, -1),
+        )
+    return (
+        _Path(X, rows.compress(row_left), orders[0], depth),
+        _Path(X, rows.compress(~row_left), orders[1], depth),
+    )
+
+
+def _best_split(path: _Path, residuals, node_residuals, total):
     """Exact greedy SSE split of one node: (feature, threshold), or None when
     no feature has a cut.
 
-    `orders[j]` lists the node's rows in ascending X[:, j], ties in row order,
-    and `node_residuals` holds their residuals in ascending row order.  Every
-    cut of every feature is scored in one pass.  The winner is the first
-    candidate, in feature-then-threshold order, after each replacement by a
-    later one whose SSE is lower by more than 1e-15.
+    `node_residuals` holds the residuals of the path's rows, in row order, and
+    `total` is their sum.  Every cut of every feature is scored in one pass.
+    The winner is the first candidate, in feature-then-threshold order, after
+    each replacement by a later one whose SSE is lower by more than 1e-15.
     """
-    d, n = orders.shape
-    total = node_residuals.sum()
-    base_sse = float(np.sum((node_residuals - node_residuals.mean()) ** 2))
-    xs = X.ravel()[orders * d + np.arange(d)[:, None]]  # X[orders[j], j] per row j
-    cuts = np.flatnonzero(xs[:, :-1] != xs[:, 1:])
-    if len(cuts) == 0:
+    if path.cuts is None:
         return None
-    feature, at = np.divmod(cuts, n - 1)
-    left_n = at + 1
-    left_sum = np.cumsum(residuals[orders], axis=1)[feature, at]
+    flat, left_n, right_n = path.cuts
+    n = len(node_residuals)
+    base_sse = float(np.sum((node_residuals - total / n) ** 2))
+    left_sum = np.cumsum(residuals.take(path.orders), axis=1).take(flat)
     right_sum = total - left_sum
     # SSE = const - sum_children (group sum)^2 / group size.  float_power is
     # libm pow per element, as the scalar `x**2` is; the array `x**2` is x*x,
     # which differs from pow in the last bit on some inputs.
-    gain = np.float_power(left_sum, 2) / left_n + np.float_power(right_sum, 2) / (n - left_n)
+    gain = np.float_power(left_sum, 2) / left_n + np.float_power(right_sum, 2) / right_n
     sse = base_sse - (gain - total**2 / n)
     # A replacement lies below every earlier candidate, so the sequential rule
     # only needs to visit the strict running minima.
@@ -170,61 +237,48 @@ def _best_split(X, residuals, orders, node_residuals):
     for k, value in zip(lower.tolist(), sse[lower].tolist()):
         if value < best_sse - 1e-15:
             best, best_sse = k, value
-    j, i = int(feature[best]), at[best]
-    return j, (xs[j, i] + xs[j, i + 1]) / 2.0
+    j, i = divmod(int(flat[best]), n)
+    column = path.X[:, j]
+    return j, (column[path.orders[j, i]] + column[path.orders[j, i + 1]]) / 2.0
 
 
-def _column_orders(X) -> np.ndarray:
-    """Row j lists the rows of X in ascending X[:, j], ties in row order."""
-    return np.argsort(X.T, axis=1, kind="stable")
-
-
-def _fit_tree(X, residuals, rows, orders, depth, leaf_values=None) -> TreeNode:
-    """Grow the subtree of the node holding `rows` (ascending), whose
-    per-feature sorted orders are the rows of `orders`.  When `leaf_values`
-    is given, each leaf writes its value there at the rows that reach it."""
-    node_residuals = residuals[rows]
-    node = TreeNode(value=float(node_residuals.mean()))
+def _fit_tree(path: _Path, residuals, leaf_values=None) -> TreeNode:
+    """Grow the subtree of the node at `path`.  When `leaf_values` is given,
+    each leaf writes its value there at the rows that reach it."""
+    node_residuals = residuals.take(path.rows)
+    total = node_residuals.sum()
+    node = TreeNode(value=float(total / len(node_residuals)))  # what .mean() computes
     found = None
-    if depth > 0 and len(rows) > 1:
+    if path.depth > 0 and len(node_residuals) > 1:
         # np.allclose(node_residuals, r0) written out; residuals are finite
         r0 = node_residuals[0]
         if not np.all(np.abs(node_residuals - r0) <= 1e-8 + 1e-5 * abs(r0)):
-            found = _best_split(X, residuals, orders, node_residuals)
+            found = _best_split(path, residuals, node_residuals, total)
     if found is None:
         if leaf_values is not None:
-            leaf_values[rows] = node.value
+            leaf_values[path.rows] = node.value
         return node
     node.feature, node.threshold = found
-    left = X[:, node.feature] <= node.threshold
-    # a stable partition keeps every sorted order sorted, ties in row order
-    row_left, order_left = left[rows], left[orders].ravel()
-    flat, d = orders.ravel(), len(orders)
-    node.left = _fit_tree(
-        X, residuals, rows.compress(row_left),
-        flat.compress(order_left).reshape(d, -1), depth - 1, leaf_values,
-    )
-    node.right = _fit_tree(
-        X, residuals, rows.compress(~row_left),
-        flat.compress(~order_left).reshape(d, -1), depth - 1, leaf_values,
-    )
+    left, right = path.split(*found)
+    node.left = _fit_tree(left, residuals, leaf_values)
+    node.right = _fit_tree(right, residuals, leaf_values)
     return node
 
 
-def _route(node: TreeNode, X, rows, out) -> None:
+def _route(node: TreeNode, path: _Path, out) -> None:
     if node.feature is None:
-        out[rows] = node.value
+        out[path.rows] = node.value
         return
-    left = X[rows, node.feature] <= node.threshold
-    _route(node.left, X, rows[left], out)
-    _route(node.right, X, rows[~left], out)
+    left, right = path.split(node.feature, node.threshold)
+    _route(node.left, left, out)
+    _route(node.right, right, out)
 
 
-def _tree_values(tree: TreeNode, X) -> np.ndarray:
-    """Leaf value of every row of X: the row block is split at each node by
-    X[:, feature] <= threshold."""
-    out = np.empty(len(X))
-    _route(tree, X, np.arange(len(X)), out)
+def _tree_values(tree: TreeNode, root: _Path) -> np.ndarray:
+    """Leaf value of every row of root.X: each row block is split by
+    X[:, feature] <= threshold, once per distinct path of the root."""
+    out = np.empty(len(root.rows))
+    _route(tree, root, out)
     return out
 
 
@@ -257,28 +311,31 @@ def fit_gbm(X, y, n_trees: int = 100, depth: int = 3, learning_rate: float = 0.1
     ybar = y.mean()
     f0 = float(np.log(ybar / (1.0 - ybar)))
     scores = np.full(len(y), f0)
-    rows = np.arange(len(y))
-    orders = _column_orders(X)
+    root = _root(X, depth)
     leaf_values = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(n_trees):
         residuals = y - _sigmoid(scores)
-        # the leaves partition the rows, so this is _tree_values(tree, X)
-        trees.append(_fit_tree(X, residuals, rows, orders, depth, leaf_values))
+        # the leaves partition the rows, so this is _tree_values(tree, _root(X))
+        trees.append(_fit_tree(root, residuals, leaf_values))
         scores = scores + learning_rate * leaf_values
     return GbmModel(trees, learning_rate, f0, X.shape[1])
 
 
 def predict_gbm(model: GbmModel, x):
-    """sigmoid(F0 + learning_rate * sum of tree outputs); row or matrix input."""
+    """sigmoid(F0 + learning_rate * sum of tree outputs); row or matrix input
+    of finite features (NaN fails every `<=` and would route right)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     rows = x[None, :] if single else x
     if model.n_features is not None and rows.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {rows.shape[1]}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("features must be finite")
+    root = _root(rows)
     scores = np.full(len(rows), model.initial_score)
     for tree in model.trees:
-        scores = scores + model.learning_rate * _tree_values(tree, rows)
+        scores = scores + model.learning_rate * _tree_values(tree, root)
     p = _sigmoid(scores)
     return float(p[0]) if single else p
 

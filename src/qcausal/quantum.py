@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -194,10 +194,6 @@ class ProductStates:
         vectors = np.stack([cross.real, cross.imag, np.abs(a0) ** 2 - np.abs(a1) ** 2], axis=-1)
         vectors.flags.writeable = False
         return vectors
-
-    def dense(self) -> np.ndarray:
-        """The 2**n amplitudes of the first row; qubit 0 is the least significant bit."""
-        return reduce(np.kron, self.amplitudes[0, ::-1], np.ones(1))
 
     def expectation(self, a: float, b: np.ndarray) -> np.ndarray:
         """Exact <H> per row, H = a*I + sum_{i,P} b[i, P] * P_i."""

@@ -24,6 +24,7 @@ deviance, live here too, on the package's own functions.
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -166,9 +167,15 @@ def _gate_states(gates, n_qubits):
     return _fold(((op.name, op.qubit, op.angle) for op in gates), n_qubits, 1)
 
 
+def dense(states):
+    """The 2**n amplitudes of the first row of a ProductStates; qubit 0 is the
+    least significant bit."""
+    return reduce(np.kron, states.amplitudes[0, ::-1], np.ones(1))
+
+
 def run_gates(gates, n_qubits):
     """Run a gate sequence on |0...0> and return raw amplitudes."""
-    return _gate_states(gates, n_qubits).dense()
+    return dense(_gate_states(gates, n_qubits))
 
 
 def sample_noisy_expectation_from_gates(gates, n_qubits, obs, noise, shots, seed):

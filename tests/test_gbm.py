@@ -87,10 +87,8 @@ def test_leaf_buffer_equals_routing_every_row(seed):
     X, _, depth = tie_heavy_instance(seed)
     residuals = np.random.default_rng(seed).normal(size=len(X))
     leaf_values = np.full(len(X), np.nan)
-    tree = classical._fit_tree(
-        X, residuals, np.arange(len(X)), classical._column_orders(X), depth, leaf_values
-    )
-    assert np.array_equal(leaf_values, classical._tree_values(tree, X))
+    tree = classical._fit_tree(classical._root(X, depth), residuals, leaf_values)
+    assert np.array_equal(leaf_values, classical._tree_values(tree, classical._root(X)))
 
 
 @pytest.mark.parametrize("r0", [0.3, -0.3, 0.0])
@@ -98,13 +96,64 @@ def test_leaf_buffer_equals_routing_every_row(seed):
 def test_node_is_pure_exactly_when_allclose(r0, gap):
     residuals = np.array([r0, r0 + gap, r0, r0 + gap, r0 - gap])
     X = np.arange(5.0)[:, None]
-    tree = classical._fit_tree(X, residuals, np.arange(5), classical._column_orders(X), 2)
+    tree = classical._fit_tree(classical._root(X, 2), residuals)
     assert (tree.feature is None) == np.allclose(residuals, residuals[0])
 
 
 def test_generated_cohort_matches_oracle():
     cohort = data.generate_synthetic_cohort(data.SynthConfig(n=1500, seed=1))
     assert_same_fit(cohort.matrix(cli.MODEL_COVARIATES), cohort.z)
+
+
+def split_paths(tree, path=()):
+    """(path from the root, own split) of every internal node of a tree; a path
+    is its (feature, threshold, side) steps."""
+    if tree.feature is None:
+        return []
+    split = (tree.feature, tree.threshold)
+    return [
+        (path, split),
+        *split_paths(tree.left, path + (split + ("left",),)),
+        *split_paths(tree.right, path + (split + ("right",),)),
+    ]
+
+
+def test_each_distinct_split_path_is_partitioned_once_per_fit(monkeypatch):
+    cohort = data.generate_synthetic_cohort(data.SynthConfig(n=1500, seed=1))
+    partitions = []
+    build = classical._partition
+
+    def counted(path, feature, threshold):
+        partitions.append((feature, threshold))
+        return build(path, feature, threshold)
+
+    monkeypatch.setattr(classical, "_partition", counted)
+    model = classical.fit_gbm(cohort.matrix(cli.MODEL_COVARIATES), cohort.z)
+    internal = [node for tree in model.trees for node in split_paths(tree)]
+    assert len(partitions) == len(set(internal)) < len(internal)
+
+
+def test_held_out_rows_score_like_the_oracle():
+    cohort = data.generate_synthetic_cohort(data.SynthConfig(n=1500, seed=1))
+    X, z = cohort.matrix(cli.MODEL_COVARIATES), cohort.z
+    fit = np.zeros(len(X), dtype=bool)
+    fit[np.random.default_rng(1).choice(len(X), 300, replace=False)] = True
+    new = classical.fit_gbm(X[fit], z[fit], n_trees=40)
+    old = oracles.fit_gbm(X[fit], z[fit], n_trees=40)
+    for a, b in zip(new.trees, old.trees, strict=True):
+        assert_same_tree(a, b)
+    queries = np.vstack([X[~fit], rows_on_thresholds(old, X[~fit])])
+    assert np.array_equal(classical.predict_gbm(new, queries), oracles.predict_gbm(old, queries))
+
+
+def test_fits_in_a_row_share_no_paths():
+    # two halves of one cohort: the same shape and many of the same splits, so
+    # paths kept from the first fit or prediction would hand the second one
+    # the first half's rows
+    cohort = data.generate_synthetic_cohort(data.SynthConfig(n=400, seed=2))
+    X, z = cohort.matrix(cli.MODEL_COVARIATES), cohort.z
+    for half in (slice(0, 200), slice(200, 400)):
+        assert_same_fit(X[half], z[half], n_trees=20)
 
 
 def near_tie_instance(seed, d, size=6, levels=None):
@@ -128,8 +177,7 @@ def per_feature_best_sse(X, residuals):
 
 
 def assert_same_grown_tree(X, residuals, depth):
-    rows = np.arange(len(X))
-    new = classical._fit_tree(X, residuals, rows, classical._column_orders(X), depth)
+    new = classical._fit_tree(classical._root(X, depth), residuals)
     old = oracles._fit_tree(X, residuals, depth)
     assert_same_tree(new, old)
     values = range(-1, int(X.max()) + 2)
@@ -201,6 +249,15 @@ class TestRejectedInput:
         y[0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             classical.fit_gbm(self.X, y)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_predict_on_non_finite_features(self, value):
+        model = classical.fit_gbm(self.X, self.y, n_trees=2)
+        row = np.array([value, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            classical.predict_gbm(model, row)
+        with pytest.raises(ValueError, match="finite"):
+            classical.predict_gbm(model, np.vstack([self.X, row]))
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_predict_on_wrong_width(self, width):
