@@ -15,15 +15,21 @@ control index.  Distances are computed only inside the window:
 |score gap| for nearest-neighbor matching.  Genetic matching squares the
 per-column gaps of every window pair once per call, as a (columns x window)
 matrix over the raw covariates and score, and folds the standardizing
-1/std^2 into the genome.  Two controls whose squared gaps are equal column
-for column are then exactly equidistant.  One pass over the treated
-subjects matches a whole generation of genomes at once: at each subject,
-one matrix product gives every genome's distances to that subject's window
-segment, and no distance outlives its step.  Each subject takes its nearest
-control not yet taken by the same genome, equal distances go to the lowest
-control index, and a subject whose candidates are all taken stays
-unmatched.  Distances must be finite: genetic matching raises ValueError on
-non-finite covariates.
+1/std^2 into the genome, so it ranks candidates by their squared weighted
+distance; no square root is taken, since one could only merge two squared
+distances an ulp apart into a false tie.  Two controls whose squared gaps
+are equal column for column are then exactly equidistant.  One pass over
+the treated subjects matches a whole generation of genomes at once: at each
+subject, one matrix product gives every genome's squared distances to that
+subject's window segment, and no distance outlives its step.  Each subject
+takes its nearest control not yet taken by the same genome, equal distances
+go to the lowest control index, and a subject whose candidates are all
+taken stays unmatched.  Distances must be finite, and are checked once per
+generation: on a non-empty window the core raises ValueError unless each
+genome's weights times the column-wise largest gaps, a bound on all its
+distances, is finite.  So a NaN or inf covariate raises before any pick, as
+does a bound that overflows alone, every single distance being finite; an
+empty window, as from a NaN score, never raises.
 
 Every SMD, Welch test and genetic fitness reads its arm moments from one
 kernel, `_arm_moments`, over weight rows: under weights w an arm's mean is
@@ -218,19 +224,28 @@ class _GreedyCore:
         # (step of order, window slice) of each treated subject with a candidate
         self.segments = list(zip(steps.tolist(), starts[steps].tolist(), stops[steps].tolist()))
 
-    def run(self, n_genomes: int, segment_distances) -> np.ndarray:
-        """Greedy match for each of `n_genomes` genomes.
+    def run(self, weights, gaps) -> np.ndarray:
+        """Greedy match for each row of `weights`, a (genomes x columns)
+        matrix, on `gaps`, a (columns x window) matrix, both >= 0.  A
+        genome's distance to a window pair is its weights times the pair's
+        column of gaps: the squared metric distance for genetic matching,
+        |score gap| for nearest-neighbor matching.
 
-        `segment_distances(start, stop)` gives the (genomes x stop - start)
-        distances of the window slice of one treated subject's candidates;
-        it is called once per treated subject with a candidate.  Returns,
-        per genome, the control position taken at each step of `order`, or
-        len(control) where every candidate of that treated subject was taken
-        earlier.  Equal distances resolve to the lowest control index.  The
-        distances must be finite, so a taken control is the only kind of
+        Returns, per genome, the control position taken at each step of
+        `order`, or len(control) where every candidate of that treated
+        subject was taken earlier.  Equal distances resolve to the lowest
+        control index.  Distances are checked once per call: on a non-empty
+        window, ValueError unless the bound `weights @ gaps.max(axis=1)` is
+        finite, so no pick is made when a distance is NaN or inf (or when
+        the bound alone overflows), and a taken control is the only kind of
         candidate that cannot win.
         """
-        n_control = len(self.control)
+        n_genomes, n_control = len(weights), len(self.control)
+        if gaps.shape[1]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = weights @ gaps.max(axis=1)
+            if not np.isfinite(bound).all():
+                raise ValueError("matching distances must be finite; check the covariates")
         # 0 for a free control, inf once the genome has taken it: adding it
         # leaves a finite distance as it is and makes a taken control lose
         penalty = np.zeros((n_genomes, n_control))
@@ -238,12 +253,9 @@ class _GreedyCore:
         genome_start = np.arange(n_genomes) * n_control
         picks = np.full((n_genomes, len(self.order)), n_control, dtype=np.intp)
         for step, start, stop in self.segments:
-            distances = segment_distances(start, stop)
-            if not np.isfinite(distances.max()):
-                raise ValueError("matching distances must be finite; check the covariates")
             candidates = self.cols[start:stop]
             d = penalty.take(candidates, axis=1)
-            d += distances
+            d += weights @ gaps[:, start:stop]
             # with every candidate taken, argmin lands on a taken control
             pick = candidates.take(d.argmin(axis=1))
             flat_penalty[genome_start + pick] = np.inf
@@ -296,8 +308,8 @@ def nearest_neighbor_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
     """Greedy 1:1 matching on the score, treated visited in descending score."""
     ps = np.asarray(ps, dtype=float)
     core = _GreedyCore(ps, z, score_caliper(ps, caliper_multiplier))
-    distances = np.abs(ps[core.treated][core.rows] - ps[core.control][core.cols])
-    return core.match_set(core.run(1, lambda start, stop: distances[None, start:stop])[0])
+    gaps = np.abs(ps[core.treated][core.rows] - ps[core.control][core.cols])
+    return core.match_set(core.run(np.ones((1, 1)), gaps[None, :])[0])
 
 
 def optimal_match(ps, z, caliper_multiplier: float = 0.25) -> MatchSet:
@@ -397,8 +409,7 @@ def genetic_match(
 
     def evaluate(genomes):
         """Greedy matches of a whole generation and their fitness."""
-        weights = genomes * inv_var
-        picks = core.run(len(genomes), lambda start, stop: np.sqrt(weights @ gaps[:, start:stop]))
+        picks = core.run(genomes * inv_var, gaps)
         return picks, core.fitness(picks, covariates)
 
     genomes = np.exp(rng.normal(0.0, 0.5, size=(population, d)))

@@ -356,15 +356,6 @@ def fit_cox(
     )
 
 
-def cox_partial_loglik(beta, times, events, X, weights=None, ties: str = "efron") -> float:
-    """Partial log-likelihood at a given beta (grid-search oracle hook)."""
-    times, events, weights = _check_samples(times, events, weights)
-    X = np.asarray(X, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    value, _, _ = _cox_pass(beta, times, events, X, weights, ties == "efron")
-    return float(value)
-
-
 def concordance(scores, times, events, weights=None) -> float:
     """Harrell's C: fraction of usable pairs ordered correctly by risk score.
 

@@ -16,9 +16,10 @@ argsort, scalar split scan and row-by-row tree walk.  The survival
 oracles are the earlier estimators that rebuilt the at-risk set once per
 event time, and Harrell's C that compared every event with every later
 subject.  The CMA-ES oracles are the earlier `ask` and `tell`, which
-decomposed the covariance once each per generation.  Two statistics that
-only the tests read, the raw Pearson statistic and the staged boosted-tree
-deviance, live here too, on the package's own functions.
+decomposed the covariance once each per generation.  Three statistics that
+only the tests read, the raw Pearson statistic, the staged boosted-tree
+deviance and the Cox partial log-likelihood at a given beta, live here too,
+on the package's own functions.
 """
 
 import math
@@ -40,6 +41,7 @@ from qcausal.survival import (
     AalenModel,
     SurvivalCurve,
     _check_samples,
+    _cox_pass,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -817,6 +819,15 @@ def fit_aalen(times, events, X, names=None, weights=None, horizon=None) -> Aalen
         n_event_times_used=len(used_times),
         n_event_times_total=len(event_times),
     )
+
+
+def cox_partial_loglik(beta, times, events, X, weights=None, ties: str = "efron") -> float:
+    """Partial log-likelihood at a given beta, from the package's Cox pass."""
+    times, events, weights = _check_samples(times, events, weights)
+    X = np.asarray(X, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    value, _, _ = _cox_pass(beta, times, events, X, weights, ties == "efron")
+    return float(value)
 
 
 def nelson_aalen(times, events, weights=None) -> tuple[np.ndarray, np.ndarray]:

@@ -395,7 +395,7 @@ class TestGenetic:
         core = _GreedyCore(ps, z, 0.05)
         same = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.0, 2.0])
         apart = np.array([3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 1.0, 0.0, 2.0])
-        picks = core.run(1, lambda start, stop: np.zeros((1, stop - start)))
+        picks = core.run(np.ones((1, 1)), np.zeros((1, len(core.cols))))
         assert len(core.match_set(picks[0]).pairs) == 3
         assert core.fitness(picks, same[:, None]).tolist() == [0.0]
         assert core.fitness(picks, apart[:, None]).tolist() == [math.inf]

@@ -8,6 +8,7 @@ breaks such ties by rounding residue.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,8 +74,8 @@ def test_float_oracle_differs_only_at_exact_ties(monkeypatch):
     recorded = []
     run = adjust._GreedyCore.run
 
-    def recording_run(core, n_genomes, segment_distances):
-        recorded.append((core, run(core, n_genomes, segment_distances)))
+    def recording_run(core, weights, gaps):
+        recorded.append((core, run(core, weights, gaps)))
         return recorded[-1][1]
 
     monkeypatch.setattr(adjust._GreedyCore, "run", recording_run)
@@ -145,6 +146,11 @@ def test_non_finite_score_matches_oracle():
         assert new.pairs == old.pairs == ()
         assert new.unmatched_treated == old.unmatched_treated
         assert np.isnan(new.caliper) and np.isnan(old.caliper)
+    # the window is empty, so not even a NaN weight makes the core raise
+    core = adjust._GreedyCore(ps, z, adjust.score_caliper(ps))
+    assert len(core.cols) == 0
+    picks = core.run(np.full((2, 4), np.nan), np.empty((4, 0)))
+    assert (picks == len(core.control)).all()
 
 
 def test_non_finite_covariate_is_rejected():
@@ -155,6 +161,65 @@ def test_non_finite_covariate_is_rejected():
         adjust.genetic_match(X, z, ps, population=4, generations=1, seed=0)
 
 
+def one_treated_two_controls():
+    """A core whose window is one treated subject and controls 0 and 1."""
+    core = adjust._GreedyCore(np.array([0.5, 0.5, 0.5]), np.array([1.0, 0.0, 0.0]), 0.1)
+    assert core.cols.tolist() == [0, 1] and len(core.segments) == 1
+    return core
+
+
+def test_squared_distances_one_ulp_apart_are_not_tied():
+    """The higher-index control is nearer by one ulp of d^2, a gap that the
+    square root rounds away: the core ranks d^2, so it takes that control,
+    as exact arithmetic does, where sqrt would tie and take control 0."""
+    core = one_treated_two_controls()
+    far, near = np.nextafter(1.0, 2.0), 1.0
+    gaps = np.array([[far, near]])
+    weights = np.array([[1.0], [4.0]])
+    distances = weights @ gaps
+    assert (np.sqrt(distances[:, 0]) == np.sqrt(distances[:, 1])).all()
+    picks = core.run(weights, gaps)
+    assert picks.tolist() == [[1], [1]]
+    for w, (pick,) in zip(weights[:, 0].tolist(), picks):
+        exact = [Fraction(w) * Fraction(g) for g in gaps[0].tolist()]
+        assert exact[pick] < exact[1 - pick]
+
+
+class Recorded(np.ndarray):
+    """An array that records every slice taken of it."""
+
+    def __getitem__(self, key):
+        self.slices.append(key)
+        return super().__getitem__(key)
+
+
+def test_non_finite_weight_or_overflow_raises_before_any_pick():
+    core = one_treated_two_controls()
+    gaps = np.array([[1.0, 4.0]])
+    with pytest.raises(ValueError, match="distances must be finite"):
+        core.run(np.array([[1.0], [np.nan]]), gaps)
+    # 1e300 * 1e10 overflows to inf; the check reads no window segment
+    recorded = np.array([[1e10, 1.0]]).view(Recorded)
+    recorded.slices = []
+    weights = np.array([[1e300]])
+    assert 1e300 * 1e10 == float("inf")  # Python floats: no numpy warning
+    with pytest.raises(ValueError, match="distances must be finite"):
+        core.run(weights, recorded)
+    assert recorded.slices == []
+    # the window matches as usual once the product is finite
+    assert core.run(np.array([[1e290]]), recorded).tolist() == [[1]]
+    assert recorded.slices
+
+
+@pytest.mark.parametrize("multiplier", [0.25, 3.0])
+def test_nearest_neighbor_with_finite_scores_never_raises(multiplier):
+    for seed in SEEDS:
+        _, z, ps = tie_heavy_instance(seed)
+        for scale in (1.0, 1e-300, 1e150):
+            match = adjust.nearest_neighbor_match(ps * scale, z, multiplier)
+            assert match == oracles.nearest_neighbor_match(ps * scale, z, multiplier), seed
+
+
 def run_genomes(core, X, ps, genomes):
     """`core.run` for the rows of `genomes` on the distances genetic_match
     builds: the genome-weighted squared gaps of (X, ps), standardized."""
@@ -162,8 +227,7 @@ def run_genomes(core, X, ps, genomes):
     gaps = (raw[core.treated][core.rows] - raw[core.control][core.cols]).T ** 2
     std = raw.std(axis=0, ddof=1)
     std[std == 0] = 1.0
-    weights = np.atleast_2d(genomes) / std**2
-    return core.run(len(weights), lambda start, stop: np.sqrt(weights @ gaps[:, start:stop]))
+    return core.run(np.atleast_2d(genomes) / std**2, gaps)
 
 
 @pytest.mark.parametrize("per_block", [1, 3])
