@@ -19,11 +19,11 @@ depends on its residuals: the node's sums, the purity test, the cumulative
 sums at the cuts and the gains, with the same per-element arithmetic as a
 scalar scan.  The winner follows a sequential rule, not argmin: the first
 candidate in feature-then-threshold order, replaced by each later one whose
-SSE is lower by more than 1e-15.  While it fits, each leaf writes its value at
-the training rows that reach it, so the boosting update reads the new tree's
-outputs from that buffer and never routes the training matrix through the
-tree.  Prediction applies the trees to a whole matrix at once and splits each
-distinct path's row block once per call, not once per tree.
+SSE is lower by more than 1e-15.  The boosting update reads the new tree's
+outputs by routing the training rows down the fit's root, as prediction does;
+every split it meets was cached while the tree grew, so the routing partitions
+nothing anew.  Prediction applies the trees to a whole matrix at once and
+splits each distinct path's row block once per call, not once per tree.
 """
 
 from __future__ import annotations
@@ -242,9 +242,8 @@ def _best_split(path: _Path, residuals, node_residuals, total):
     return j, (column[path.orders[j, i]] + column[path.orders[j, i + 1]]) / 2.0
 
 
-def _fit_tree(path: _Path, residuals, leaf_values=None) -> TreeNode:
-    """Grow the subtree of the node at `path`.  When `leaf_values` is given,
-    each leaf writes its value there at the rows that reach it."""
+def _fit_tree(path: _Path, residuals) -> TreeNode:
+    """Grow the subtree of the node at `path`."""
     node_residuals = residuals.take(path.rows)
     total = node_residuals.sum()
     node = TreeNode(value=float(total / len(node_residuals)))  # what .mean() computes
@@ -255,13 +254,11 @@ def _fit_tree(path: _Path, residuals, leaf_values=None) -> TreeNode:
         if not np.all(np.abs(node_residuals - r0) <= 1e-8 + 1e-5 * abs(r0)):
             found = _best_split(path, residuals, node_residuals, total)
     if found is None:
-        if leaf_values is not None:
-            leaf_values[path.rows] = node.value
         return node
     node.feature, node.threshold = found
     left, right = path.split(*found)
-    node.left = _fit_tree(left, residuals, leaf_values)
-    node.right = _fit_tree(right, residuals, leaf_values)
+    node.left = _fit_tree(left, residuals)
+    node.right = _fit_tree(right, residuals)
     return node
 
 
@@ -312,13 +309,11 @@ def fit_gbm(X, y, n_trees: int = 100, depth: int = 3, learning_rate: float = 0.1
     f0 = float(np.log(ybar / (1.0 - ybar)))
     scores = np.full(len(y), f0)
     root = _root(X, depth)
-    leaf_values = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(n_trees):
-        residuals = y - _sigmoid(scores)
-        # the leaves partition the rows, so this is _tree_values(tree, _root(X))
-        trees.append(_fit_tree(root, residuals, leaf_values))
-        scores = scores + learning_rate * leaf_values
+        tree = _fit_tree(root, y - _sigmoid(scores))
+        trees.append(tree)
+        scores = scores + learning_rate * _tree_values(tree, root)
     return GbmModel(trees, learning_rate, f0, X.shape[1])
 
 

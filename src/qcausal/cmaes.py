@@ -1,11 +1,12 @@
 """Covariance matrix adaptation evolution strategy, written from scratch.
 
-The fixed strategy settings follow the configuration used for circuit
-training: initial step size 0.15, population ceil(4 + 3*ln(m)) for m
-parameters, parent fraction 1/2, mean learning rate 1, and a damping factor
-of 1 applied as a multiplier on the canonical step-size damping.  Remaining
-learning rates (c_sigma, c_c, c_1, c_mu) use the canonical dimension-dependent
-defaults with log-rank recombination weights.
+The strategy is fixed, as circuit training uses it: initial step size
+`SIGMA0` = 0.15, population `default_population(m)` = ceil(4 + 3*ln(m)) for
+m parameters, the best half of it as parents, mean learning rate 1, and the
+canonical step-size damping.  These are constants of this module, not
+options; `CmaesConfig` holds only the budget, the target and the seed.
+Remaining learning rates (c_sigma, c_c, c_1, c_mu) use the canonical
+dimension-dependent defaults with log-rank recombination weights.
 
 The eigendecomposition of the covariance is computed once per generation:
 `ask` and `tell` share it through `CmaesState.eigen`, which `tell` clears
@@ -21,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+SIGMA0 = 0.15
 EIGEN_FLOOR = 1e-14
 SIGMA_COLLAPSE = 1e-12
 SIGMA_BLOWUP_FACTOR = 1e7
@@ -35,33 +37,19 @@ def default_population(m: int) -> int:
 
 @dataclass
 class CmaesConfig:
-    sigma0: float = 0.15
-    population: int | None = None  # None -> default_population(m)
-    parent_fraction: float = 0.5
-    c_mean: float = 1.0
-    damping_factor: float = 1.0
     max_evaluations: int = 20_000
     target_loss: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
-        if self.population is not None and self.population < 2:
-            raise ValueError("population must be >= 2")
-        if not 0.0 < self.parent_fraction <= 1.0:
-            raise ValueError("parent_fraction must lie in (0, 1]")
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be >= 1")
 
-    def population_for(self, m: int) -> int:
-        return self.population if self.population is not None else default_population(m)
-
 
 @lru_cache(maxsize=None)
-def _strategy(m: int, lam: int, parent_fraction: float, damping_factor: float):
+def _strategy(m: int, lam: int):
     """Selection weights and learning rates for dimension m, population lam."""
-    mu = max(1, int(lam * parent_fraction))
+    mu = max(1, lam // 2)
     raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     weights = raw / raw.sum()
     mueff = float(weights.sum() ** 2 / np.sum(weights**2))
@@ -69,9 +57,7 @@ def _strategy(m: int, lam: int, parent_fraction: float, damping_factor: float):
     cc = (4.0 + mueff / m) / (m + 4.0 + 2.0 * mueff / m)
     c1 = 2.0 / ((m + 1.3) ** 2 + mueff)
     cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((m + 2.0) ** 2 + mueff))
-    damps = damping_factor * (
-        1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (m + 1.0)) - 1.0) + cs
-    )
+    damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (m + 1.0)) - 1.0) + cs
     chi_m = math.sqrt(m) * (1.0 - 1.0 / (4.0 * m) + 1.0 / (21.0 * m * m))
     return weights, mueff, cs, cc, c1, cmu, damps, chi_m, mu
 
@@ -91,14 +77,14 @@ class CmaesState:
     eigen: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
-def init_state(x0: Sequence[float], config: CmaesConfig) -> CmaesState:
+def init_state(x0: Sequence[float]) -> CmaesState:
     mean = np.asarray(x0, dtype=float).copy()
     if mean.ndim != 1 or mean.size == 0:
         raise ValueError("x0 must be a non-empty 1-d sequence")
     m = mean.size
     return CmaesState(
         mean=mean,
-        sigma=config.sigma0,
+        sigma=SIGMA0,
         cov=np.eye(m),
         path_sigma=np.zeros(m),
         path_cov=np.zeros(m),
@@ -123,7 +109,7 @@ def _eigen(state: CmaesState) -> tuple[np.ndarray, np.ndarray]:
 def ask(state: CmaesState, config: CmaesConfig) -> np.ndarray:
     """Sample the population for this generation; deterministic per (seed, generation)."""
     m = state.mean.size
-    lam = config.population_for(m)
+    lam = default_population(m)
     eigvals, eigvecs = _eigen(state)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, state.generation)))
     z = rng.standard_normal((lam, m))
@@ -134,7 +120,6 @@ def tell(
     state: CmaesState,
     candidates: np.ndarray,
     values: Sequence[float],
-    config: CmaesConfig,
 ) -> CmaesState:
     """Rank candidates and update mean, step size, covariance, and paths."""
     candidates = np.asarray(candidates, dtype=float)
@@ -146,9 +131,7 @@ def tell(
 
     m = state.mean.size
     lam = len(candidates)
-    weights, mueff, cs, cc, c1, cmu, damps, chi_m, mu = _strategy(
-        m, lam, config.parent_fraction, config.damping_factor
-    )
+    weights, mueff, cs, cc, c1, cmu, damps, chi_m, mu = _strategy(m, lam)
 
     order = np.argsort(values, kind="stable")
     if values[order[0]] < state.best_value:
@@ -158,7 +141,7 @@ def tell(
     parents = candidates[order[:mu]]
     old_mean = state.mean
     shift = weights @ (parents - old_mean)
-    state.mean = old_mean + config.c_mean * shift
+    state.mean = old_mean + shift
 
     eigvals, eigvecs = _eigen(state)
     inv_sqrt = eigvecs @ ((eigvecs / np.sqrt(eigvals)).T)
@@ -206,16 +189,16 @@ class MinimizeResult:
 def minimize(
     objective: Callable[[np.ndarray], float],
     x0: Sequence[float],
-    config: CmaesConfig | None = None,
+    config: CmaesConfig,
 ) -> MinimizeResult:
     """Minimize `objective` by looping ask/tell until the budget or target is hit."""
-    config = config or CmaesConfig()
-    state = init_state(x0, config)
-    m = state.mean.size
-    lam = config.population_for(m)
+    state = init_state(x0)
+    lam = default_population(state.mean.size)
 
     state.best_point = state.mean.copy()
     state.best_value = float(objective(state.mean.copy()))
+    if not math.isfinite(state.best_value):
+        raise ValueError("objective returned a non-finite value")
     state.evaluations = 1
     trace = [state.best_value]
     stop = ""
@@ -227,7 +210,7 @@ def minimize(
         if state.evaluations + lam > config.max_evaluations:
             stop = "max_evaluations"
             break
-        if state.sigma > SIGMA_BLOWUP_FACTOR * config.sigma0:
+        if state.sigma > SIGMA_BLOWUP_FACTOR * SIGMA0:
             stop = "sigma_blowup"
             break
         if state.sigma < SIGMA_COLLAPSE:
@@ -235,7 +218,7 @@ def minimize(
             break
         candidates = ask(state, config)
         values = [float(objective(c.copy())) for c in candidates]
-        tell(state, candidates, values, config)
+        tell(state, candidates, values)
         trace.append(state.best_value)
 
     return MinimizeResult(

@@ -238,10 +238,14 @@ def fit(
     X,
     y,
     w=None,
-    config: QnnConfig | None = None,
-    cmaes_config: cmaes.CmaesConfig | None = None,
+    *,
+    config: QnnConfig,
+    cmaes_config: cmaes.CmaesConfig,
 ) -> FittedQnn:
     """Train by minimizing total_loss with CMA-ES; deterministic per config.seed.
+
+    Both configs are required: `config` fixes the circuit and the objective,
+    `cmaes_config` the evaluation budget, the target and the CMA-ES seed.
 
     Stochastic eval modes seed one generator per objective evaluation with
     (seed, evaluation counter), so the objective is noisy but the whole run
@@ -249,8 +253,6 @@ def fit(
     the rows are encoded once, before CMA-ES starts; with them, once per
     evaluation.  Each evaluation equals total_loss at its parameters.
     """
-    if config is None:
-        raise ValueError("a QnnConfig is required")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) < 2:
@@ -260,9 +262,6 @@ def fit(
     if not has_both_classes(y):
         raise ValueError("labels must contain both classes 0 and 1")
     X, y, w = _check_training_arrays(X, y, w)
-
-    if cmaes_config is None:
-        cmaes_config = cmaes.CmaesConfig(max_evaluations=4000, seed=config.seed)
 
     start = initial_params(config)
     fixed = None if config.variational_enabled else _states(start, X, config)

@@ -34,7 +34,7 @@ from scipy.special import chdtrc, ndtr
 from qcausal import classical
 from qcausal._tails import t_sf
 from qcausal.adjust import MatchSet, _pearson, effective_sample_size
-from qcausal.cmaes import CmaesConfig, CmaesState, _decompose, _strategy
+from qcausal.cmaes import CmaesConfig, CmaesState, _decompose, _strategy, default_population
 from qcausal.classical import GbmModel, TreeNode, _sigmoid
 from qcausal.survival import (
     RANK_CONDITION_LIMIT,
@@ -846,14 +846,15 @@ def nelson_aalen(times, events, weights=None) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # CMA-ES reference: ask and tell as they were before they shared one
-# eigendecomposition per generation, verbatim
+# eigendecomposition per generation, reading the same fixed strategy
+# (default_population, _strategy) as qcausal.cmaes
 # ---------------------------------------------------------------------------
 
 
 def ask(state: CmaesState, config: CmaesConfig) -> np.ndarray:
     """Sample the population for this generation; deterministic per (seed, generation)."""
     m = state.mean.size
-    lam = config.population_for(m)
+    lam = default_population(m)
     eigvals, eigvecs = _decompose(state.cov)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, state.generation)))
     z = rng.standard_normal((lam, m))
@@ -864,7 +865,6 @@ def tell(
     state: CmaesState,
     candidates: np.ndarray,
     values: Sequence[float],
-    config: CmaesConfig,
 ) -> CmaesState:
     """Rank candidates and update mean, step size, covariance, and paths."""
     candidates = np.asarray(candidates, dtype=float)
@@ -876,9 +876,7 @@ def tell(
 
     m = state.mean.size
     lam = len(candidates)
-    weights, mueff, cs, cc, c1, cmu, damps, chi_m, mu = _strategy(
-        m, lam, config.parent_fraction, config.damping_factor
-    )
+    weights, mueff, cs, cc, c1, cmu, damps, chi_m, mu = _strategy(m, lam)
 
     order = np.argsort(values, kind="stable")
     if values[order[0]] < state.best_value:
@@ -888,7 +886,7 @@ def tell(
     parents = candidates[order[:mu]]
     old_mean = state.mean
     shift = weights @ (parents - old_mean)
-    state.mean = old_mean + config.c_mean * shift
+    state.mean = old_mean + shift
 
     eigvals, eigvecs = _decompose(state.cov)
     inv_sqrt = eigvecs @ ((eigvecs / np.sqrt(eigvals)).T)

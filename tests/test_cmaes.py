@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,29 +36,35 @@ class TestDefaultPopulation:
 
 class TestAsk:
     def test_sigma_to_zero_limit_collapses_to_mean(self):
-        config = CmaesConfig(sigma0=1e-12, seed=1)
-        state = init_state([1.0, -2.0], config)
+        config = CmaesConfig(seed=1)
+        state = init_state([1.0, -2.0])
+        state.sigma = 1e-12
         candidates = ask(state, config)
         assert np.allclose(candidates, state.mean, atol=1e-9)
 
     def test_fixed_seed_reproducible(self):
         config = CmaesConfig(seed=5)
-        a = ask(init_state([0.0, 0.0, 0.0], config), config)
-        b = ask(init_state([0.0, 0.0, 0.0], config), config)
+        a = ask(init_state([0.0, 0.0, 0.0]), config)
+        b = ask(init_state([0.0, 0.0, 0.0]), config)
         assert np.array_equal(a, b)
 
     def test_distinct_generations_differ(self):
         config = CmaesConfig(seed=5)
-        state = init_state([0.0, 0.0], config)
+        state = init_state([0.0, 0.0])
         a = ask(state, config)
         state.generation = 1
         b = ask(state, config)
         assert not np.array_equal(a, b)
 
     def test_sample_mean_matches_state_mean(self):
-        config = CmaesConfig(sigma0=0.5, population=100_000, seed=3)
-        state = init_state([2.0, -1.0], config)
-        candidates = ask(state, config)
+        config = CmaesConfig(seed=3)
+        state = init_state([2.0, -1.0])
+        state.sigma = 0.5
+        candidates = []
+        for generation in range(15_000):
+            state.generation = generation
+            candidates.append(ask(state, config))
+        candidates = np.concatenate(candidates)
         se = 0.5 / np.sqrt(len(candidates))
         assert np.all(np.abs(candidates.mean(axis=0) - state.mean) < 3 * se)
 
@@ -64,53 +72,54 @@ class TestAsk:
 class TestTell:
     def test_all_values_equal_gives_plain_recombination_and_keeps_best(self):
         config = CmaesConfig(seed=0)
-        state = init_state([0.0, 0.0], config)
+        state = init_state([0.0, 0.0])
         state.best_value = -1.0
         state.best_point = np.array([9.0, 9.0])
         candidates = ask(state, config)
-        tell(state, candidates, [3.0] * len(candidates), config)
+        tell(state, candidates, [3.0] * len(candidates))
         mu = len(candidates) // 2
         from qcausal.cmaes import _strategy
 
-        weights = _strategy(2, len(candidates), 0.5, 1.0)[0]
+        weights = _strategy(2, len(candidates))[0]
         expected = weights @ candidates[:mu]
         assert np.allclose(state.mean, expected)
         assert state.best_value == -1.0  # tie never improves best-ever
 
     def test_improving_candidate_updates_best(self):
         config = CmaesConfig(seed=2)
-        state = init_state([1.0, 1.0], config)
+        state = init_state([1.0, 1.0])
         candidates = ask(state, config)
         values = [sphere(c) for c in candidates]
-        tell(state, candidates, values, config)
+        tell(state, candidates, values)
         assert state.best_value == min(values)
 
     def test_nan_value_rejected(self):
         config = CmaesConfig(seed=2)
-        state = init_state([1.0], config)
+        state = init_state([1.0])
         candidates = ask(state, config)
         values = [np.nan] * len(candidates)
         with pytest.raises(ValueError):
-            tell(state, candidates, values, config)
+            tell(state, candidates, values)
 
     def test_quadratic_progress_over_50_generations(self):
-        config = CmaesConfig(sigma0=0.3, seed=7, max_evaluations=10**9)
-        state = init_state([1.0, 1.0], config)
+        config = CmaesConfig(seed=7, max_evaluations=10**9)
+        state = init_state([1.0, 1.0])
+        state.sigma = 0.3
         first_best = None
         for _ in range(50):
             candidates = ask(state, config)
             values = [sphere(c) for c in candidates]
-            tell(state, candidates, values, config)
+            tell(state, candidates, values)
             if first_best is None:
                 first_best = state.best_value
         assert state.best_value <= first_best / 1e6
 
     def test_covariance_stays_symmetric(self):
         config = CmaesConfig(seed=9)
-        state = init_state([0.5, -0.5, 1.5], config)
+        state = init_state([0.5, -0.5, 1.5])
         for _ in range(30):
             candidates = ask(state, config)
-            tell(state, candidates, [rosenbrock(c) for c in candidates], config)
+            tell(state, candidates, [rosenbrock(c) for c in candidates])
             assert np.max(np.abs(state.cov - state.cov.T)) < 1e-12
 
 
@@ -167,6 +176,60 @@ class TestMinimize:
         with pytest.raises(RuntimeError):
             minimize(broken, np.ones(2), CmaesConfig(seed=0))
 
+    def test_non_finite_value_at_x0_rejected(self):
+        calls = []
+
+        def nan_first(x):
+            calls.append(1)
+            return math.nan if len(calls) == 1 else sphere(x)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            minimize(nan_first, np.ones(2), CmaesConfig(max_evaluations=200, seed=0))
+        assert len(calls) == 1
+
+
+class TestFixedStrategy:
+    """minimize's results for three short runs, recorded when sigma0,
+    population, parent fraction, mean rate and damping were config fields at
+    their defaults; the ask/tell oracle reads the same constants, so only
+    these numbers catch a drift in them.  rtol 1e-12 leaves room for another
+    LAPACK build."""
+
+    RECORDED = {
+        (3, 5): (
+            [267.453125, 162.73475065471553, 133.74780834093076,
+             63.57548663993724, 29.674214493451196],
+            [0.2602964124482098, 0.49299004954224795, 0.5714816212238958],
+        ),
+        (5, 2): (  # an odd population: 9
+            [316.673828125, 195.33441207090232, 155.94759163578388,
+             116.22265957464725, 85.8876158908433],
+            [-0.43510046201148733, -0.06406229483082258, -0.14609203670441884,
+             0.8253650287990766, 0.9646163881061294],
+        ),
+        (13, 11): (
+            [618.5612220293209, 510.611610962706, 452.49075989037385,
+             322.3880192191522, 294.0990441438037],
+            [-0.7271654326406767, -0.604301482236359, 0.03627907100806382,
+             -0.44890572444382226, -0.06209150633164377, 0.14497421992447068,
+             0.36825649160978224, 0.44078683005831504, 0.5986642821562879,
+             0.9220956206776978, 0.917270073343852, 1.0312323469289546,
+             1.7022232130134485],
+        ),
+    }
+
+    @pytest.mark.parametrize("dim, seed", sorted(RECORDED))
+    def test_four_generations_of_rosenbrock_match_the_record(self, dim, seed):
+        trace, best_point = self.RECORDED[(dim, seed)]
+        budget = 1 + 4 * default_population(dim)
+        result = minimize(
+            rosenbrock, np.linspace(-1.0, 1.5, dim), CmaesConfig(max_evaluations=budget, seed=seed)
+        )
+        assert (result.generations, result.evaluations) == (4, budget)
+        assert result.best_value == pytest.approx(trace[-1], rel=1e-12)
+        np.testing.assert_allclose(result.trace, trace, rtol=1e-12)
+        np.testing.assert_allclose(result.best_point, best_point, rtol=1e-12)
+
 
 class TestOneDecompositionPerGeneration:
     """ask and tell share the covariance's eigendecomposition; minimize stays
@@ -195,8 +258,8 @@ class TestOneDecompositionPerGeneration:
 
     def test_tell_clears_the_cached_decomposition(self):
         config = CmaesConfig(seed=3)
-        state = init_state([0.2, -0.4], config)
+        state = init_state([0.2, -0.4])
         candidates = ask(state, config)
         assert state.eigen is not None
-        tell(state, candidates, [sphere(c) for c in candidates], config)
+        tell(state, candidates, [sphere(c) for c in candidates])
         assert state.eigen is None

@@ -82,13 +82,17 @@ def test_constant_feature_has_no_cut():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_leaf_buffer_equals_routing_every_row(seed):
-    """fit_gbm updates its scores from the values the leaves write while the
-    tree grows; they equal the tree applied to the training matrix."""
+    """fit_gbm updates its scores by routing the training rows down the root
+    the tree grew on, through the children cached while it grew (the leaf
+    buffer it replaced was checked here); they equal the tree applied to the
+    training matrix as prediction applies it, on a fresh root."""
     X, _, depth = tie_heavy_instance(seed)
     residuals = np.random.default_rng(seed).normal(size=len(X))
-    leaf_values = np.full(len(X), np.nan)
-    tree = classical._fit_tree(classical._root(X, depth), residuals, leaf_values)
-    assert np.array_equal(leaf_values, classical._tree_values(tree, classical._root(X)))
+    grown = classical._root(X, depth)
+    tree = classical._fit_tree(grown, residuals)
+    assert np.array_equal(
+        classical._tree_values(tree, grown), classical._tree_values(tree, classical._root(X))
+    )
 
 
 @pytest.mark.parametrize("r0", [0.3, -0.3, 0.0])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qcausal.cmaes import CmaesConfig
 from qcausal.qnn import (
     EvalMode,
     FittedQnn,
@@ -318,15 +319,14 @@ class TestFit:
     def test_single_class_rejected(self):
         config = QnnConfig(n_qubits=1)
         with pytest.raises(ValueError):
-            fit([[0.1], [0.2], [0.3]], [1, 1, 1], config=config)
+            fit([[0.1], [0.2], [0.3]], [1, 1, 1], config=config, cmaes_config=CmaesConfig())
 
     def test_too_few_rows_rejected(self):
         config = QnnConfig(n_qubits=1)
         with pytest.raises(ValueError):
-            fit([[0.1]], [1], config=config)
+            fit([[0.1]], [1], config=config, cmaes_config=CmaesConfig())
 
     def test_separable_1d_task_reaches_auc(self):
-        from qcausal.cmaes import CmaesConfig
         from qcausal.metrics import roc_and_auc
 
         rng = np.random.default_rng(12)
@@ -345,7 +345,6 @@ class TestFit:
         y = (rng.uniform(size=12) > 0.5).astype(float)
         y[:2] = [0, 1]
         config = QnnConfig(n_qubits=1, seed=7, eval_mode=EvalMode.sampled(64))
-        from qcausal.cmaes import CmaesConfig
 
         kw = dict(config=config, cmaes_config=CmaesConfig(max_evaluations=300, seed=7))
         a = fit(X, y, **kw)
@@ -358,7 +357,6 @@ class TestFit:
         X = rng.uniform(0, math.pi, (10, 1))
         y = np.array([0, 1] * 5, dtype=float)
         config = QnnConfig(n_qubits=1, seed=1)
-        from qcausal.cmaes import CmaesConfig
 
         fitted = fit(X, y, config=config, cmaes_config=CmaesConfig(max_evaluations=400, seed=1))
         assert all(b <= a + 1e-15 for a, b in zip(fitted.trace, fitted.trace[1:]))
@@ -492,13 +490,13 @@ class TestEncodingHoist:
         X, y, w = small_task()
         w[3] = bad
         with pytest.raises(ValueError, match="weights must be finite"):
-            fit(X, y, w, config=QnnConfig(n_qubits=2))
+            fit(X, y, w, config=QnnConfig(n_qubits=2), cmaes_config=CmaesConfig())
 
     def test_training_rows_checked_before_any_evaluation(self):
         X, y, w = small_task()
         w[3] = 0.0
         with pytest.raises(ValueError, match="strictly positive"):
-            fit(X, y, w, config=QnnConfig(n_qubits=2))
+            fit(X, y, w, config=QnnConfig(n_qubits=2), cmaes_config=CmaesConfig())
 
 
 class TestNoObservableOnTheTrainingPath:

@@ -1,4 +1,5 @@
-"""Smoke tests: each script under scripts/ runs to completion on a small input."""
+"""Smoke tests: each script under scripts/, and the CLI's module entry point,
+runs to completion on a small input."""
 
 import json
 import os
@@ -11,13 +12,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_compare_propensity_models():
@@ -72,8 +76,8 @@ def test_run_pipeline(tmp_path):
     config = tmp_path / "fast.cfg"
     config.write_text("max_evaluations=20\n", encoding="utf-8")
     out = tmp_path / "run"
-    result = run_script(
-        "run_pipeline.py", "--out-dir", str(out), "--seed", "1", "--n", "120",
+    result = run_python(
+        "-m", "qcausal.cli", "pipeline", "--out-dir", str(out), "--seed", "1", "--n", "120",
         "--model", "qnn_exact", "--adjust", "nn", "--config", str(config),
     )
     assert result.returncode == 0, result.stderr
