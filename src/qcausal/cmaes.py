@@ -37,7 +37,7 @@ def default_population(m: int) -> int:
 
 @dataclass
 class CmaesConfig:
-    max_evaluations: int = 20_000
+    max_evaluations: int
     target_loss: float | None = None
     seed: int = 0
 

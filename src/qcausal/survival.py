@@ -23,10 +23,15 @@ weighted variant substitutes weighted counts into the same expressions, i.e.
 
 Proportional hazards fits maximize the weighted partial likelihood by
 Newton-Raphson with the Efron tie correction (Breslow optional), halving a
-step that lowers the likelihood.  The additive hazard model solves weighted
-least squares per event time, accumulating increments of the cumulative
-regression functions; the at-risk X'WX of every event time comes from the risk
-table, and the condition checks and solves run once over the stacked systems.
+step that lowers the likelihood.  The Cox pass grows the risk sums subject by
+subject and computes each tie group's Efron terms as arrays over its deaths.
+It accumulates them in the order of a per-death loop, so the results are
+bit-identical to that loop.  A step that underflows exp(eta) to zero over a
+whole risk set stops the fit as separation.  The additive hazard model solves
+weighted least squares per event time, accumulating increments of the
+cumulative regression functions; the at-risk X'WX of every event time comes
+from the risk table, and the condition checks and solves run once over the
+stacked systems.
 
 Harrell's C sweeps the subjects in descending time and keeps the weight of
 those already passed (the later times) in a Fenwick tree over score ranks, so
@@ -191,7 +196,14 @@ class CoxModel:
 
 
 def _cox_pass(beta, times, events, X, weights, efron):
-    """One scan over event times: log-likelihood, score vector, information."""
+    """One scan over event times: log-likelihood, score vector, information.
+
+    The risk sums grow subject by subject.  Each tie group's d Efron (or
+    Breslow) terms are computed as arrays over its deaths and accumulated in
+    the order of a per-death loop, so the results are bit-identical to that
+    loop.  Returns None when a denominator is not positive, which happens
+    when exp(eta) underflows to zero over a whole risk set.
+    """
     order = np.argsort(-times, kind="stable")  # descending; risk sets grow
     t_sorted = times[order]
     x_sorted = X[order]
@@ -233,15 +245,21 @@ def _cox_pass(beta, times, events, X, weights, efron):
             s0d = rd.sum()
             s1d = (rd[:, None] * xd).sum(axis=0)
             s2d = (rd[:, None, None] * np.einsum("ki,kj->kij", xd, xd)).sum(axis=0)
-            for ell in range(d):
-                frac = ell / d if efron else 0.0
-                denom = s0 - frac * s0d
-                num1 = s1 - frac * s1d
-                num2 = s2 - frac * s2d
-                mean = num1 / denom
-                loglik -= (wd_sum / d) * math.log(denom)
-                score -= (wd_sum / d) * mean
-                info += (wd_sum / d) * (num2 / denom - np.outer(mean, mean))
+            frac = np.arange(d) / d if efron else np.zeros(d)
+            denom = s0 - frac * s0d
+            c = wd_sum / d
+            for v in denom.tolist():
+                if v <= 0:
+                    return None
+                loglik -= c * math.log(v)  # np.log can differ by an ulp
+            mean = (s1 - frac[:, None] * s1d) / denom[:, None]
+            terms = c * (
+                (s2 - frac[:, None, None] * s2d) / denom[:, None, None]
+                - mean[:, :, None] * mean[:, None, :]
+            )
+            # accumulate adds in sequence, where sum would add pairwise
+            score = np.subtract.accumulate(np.concatenate(([score], c * mean)))[-1]
+            info = np.add.accumulate(np.concatenate(([info], terms)))[-1]
         i = j
     return loglik, score, info
 
@@ -286,8 +304,14 @@ def fit_cox(
     if names is None:
         names = tuple(f"x{j}" for j in range(X.shape[1]))
 
+    def cox_pass(beta):
+        return _cox_pass(beta, times, events, X, weights, efron)
+
     beta = np.zeros(X.shape[1])
-    loglik, score, info = _cox_pass(beta, times, events, X, weights, efron)
+    start = cox_pass(beta)
+    if start is None:
+        raise ValueError("a risk set has zero weight at beta = 0")
+    loglik, score, info = start
     score_vec0, info0 = score.copy(), info.copy()
     converged = False
     separation = False
@@ -302,21 +326,22 @@ def fit_cox(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(info, score, rcond=None)[0]
         new_beta = beta + step
-        new_loglik, new_score, new_info = _cox_pass(
-            new_beta, times, events, X, weights, efron
-        )
+        trial = cox_pass(new_beta)
         halved = 0
         # tolerance scales with |loglik| so summation-order jitter never triggers
         drop_tol = 1e-10 * (1.0 + abs(loglik))
-        while new_loglik < loglik - drop_tol and halved < 20:
+        while trial is not None and trial[0] < loglik - drop_tol and halved < 20:
             step /= 2.0
             new_beta = beta + step
-            new_loglik, new_score, new_info = _cox_pass(
-                new_beta, times, events, X, weights, efron
-            )
+            trial = cox_pass(new_beta)
             halved += 1
         halvings += halved
-        beta, loglik, score, info = new_beta, new_loglik, new_score, new_info
+        # a risk set whose weight underflowed to zero: the step ran past separation
+        if trial is None:
+            separation = True
+            break
+        beta = new_beta
+        loglik, score, info = trial
         if np.max(np.abs(beta)) > COX_SEPARATION_BOUND:
             separation = True
             break

@@ -14,9 +14,10 @@ the matched arms in pair order (the earlier fitness) or in subject order
 statistics, `_arm_stats` and `_smd`, with the SMD and Welch test on them.  The boosted-tree oracles are the earlier per-node
 argsort, scalar split scan and row-by-row tree walk.  The survival
 oracles are the earlier estimators that rebuilt the at-risk set once per
-event time, and Harrell's C that compared every event with every later
-subject.  The CMA-ES oracles are the earlier `ask` and `tell`, which
-decomposed the covariance once each per generation.  Three statistics that
+event time, Harrell's C that compared every event with every later
+subject, and the Cox pass that added each death's Efron terms in a loop.
+The CMA-ES oracles are the earlier `ask` and `tell`, which decomposed
+the covariance once each per generation.  Three statistics that
 only the tests read, the raw Pearson statistic, the staged boosted-tree
 deviance and the Cox partial log-likelihood at a given beta, live here too,
 on the package's own functions.
@@ -819,6 +820,62 @@ def fit_aalen(times, events, X, names=None, weights=None, horizon=None) -> Aalen
         n_event_times_used=len(used_times),
         n_event_times_total=len(event_times),
     )
+
+
+def cox_pass(beta, times, events, X, weights, efron):
+    """The earlier Cox pass, which adds each death's Efron term in a loop."""
+    order = np.argsort(-times, kind="stable")  # descending; risk sets grow
+    t_sorted = times[order]
+    x_sorted = X[order]
+    w_sorted = weights[order]
+    e_sorted = events[order]
+
+    eta = x_sorted @ beta
+    eta = eta - eta.max()  # common offset cancels in every ratio below
+    r = w_sorted * np.exp(eta)
+
+    p = X.shape[1]
+    loglik = 0.0
+    score = np.zeros(p)
+    info = np.zeros((p, p))
+
+    s0 = 0.0
+    s1 = np.zeros(p)
+    s2 = np.zeros((p, p))
+    i = 0
+    n = len(t_sorted)
+    while i < n:
+        t = t_sorted[i]
+        j = i
+        while j < n and t_sorted[j] == t:
+            s0 += r[j]
+            s1 += r[j] * x_sorted[j]
+            s2 += r[j] * np.outer(x_sorted[j], x_sorted[j])
+            j += 1
+        dying = [k for k in range(i, j) if e_sorted[k] == 1.0]
+        if dying:
+            d = len(dying)
+            wd = w_sorted[dying]
+            xd = x_sorted[dying]
+            rd = r[dying]
+            wd_sum = wd.sum()
+            # the max-eta offset cancels between this term and the log-denominators
+            loglik += float(wd @ eta[dying])
+            score += wd @ xd
+            s0d = rd.sum()
+            s1d = (rd[:, None] * xd).sum(axis=0)
+            s2d = (rd[:, None, None] * np.einsum("ki,kj->kij", xd, xd)).sum(axis=0)
+            for ell in range(d):
+                frac = ell / d if efron else 0.0
+                denom = s0 - frac * s0d
+                num1 = s1 - frac * s1d
+                num2 = s2 - frac * s2d
+                mean = num1 / denom
+                loglik -= (wd_sum / d) * math.log(denom)
+                score -= (wd_sum / d) * mean
+                info += (wd_sum / d) * (num2 / denom - np.outer(mean, mean))
+        i = j
+    return loglik, score, info
 
 
 def cox_partial_loglik(beta, times, events, X, weights=None, ties: str = "efron") -> float:

@@ -727,6 +727,27 @@ class TestCoxRecord:
         assert record["converged"] is model.converged
 
 
+    def test_risk_set_underflow_ends_as_separation(self, tmp_path):
+        # survival falls with age and every subject dies, so the fit runs
+        # off to separation; a Newton step then underflows a whole risk set
+        assert run(*gen_args(tmp_path, n=120, seed=4)) == EXIT_OK
+        path = tmp_path / "cohort.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        for row in rows:
+            row["Survival_Time"] = f"{200 - 2 * float(row['Age']):.1f}"
+            row["Event"] = "1"
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert run("fit-ps", "--out-dir", str(tmp_path), "--model", "lr") == EXIT_OK
+        assert run("adjust", "--out-dir", str(tmp_path), "--adjust", "mw") == EXIT_OK
+        assert run("survival", "--out-dir", str(tmp_path), "--adjust", "mw") == EXIT_OK
+        record = json.loads((tmp_path / "cox.json").read_text())
+        assert record["separation"] is True
+        assert record["converged"] is False
+
 class TestFailedStage:
     """A stage that exits 1 leaves every file of the directory as it was."""
 

@@ -36,20 +36,20 @@ class TestDefaultPopulation:
 
 class TestAsk:
     def test_sigma_to_zero_limit_collapses_to_mean(self):
-        config = CmaesConfig(seed=1)
+        config = CmaesConfig(max_evaluations=100, seed=1)
         state = init_state([1.0, -2.0])
         state.sigma = 1e-12
         candidates = ask(state, config)
         assert np.allclose(candidates, state.mean, atol=1e-9)
 
     def test_fixed_seed_reproducible(self):
-        config = CmaesConfig(seed=5)
+        config = CmaesConfig(max_evaluations=100, seed=5)
         a = ask(init_state([0.0, 0.0, 0.0]), config)
         b = ask(init_state([0.0, 0.0, 0.0]), config)
         assert np.array_equal(a, b)
 
     def test_distinct_generations_differ(self):
-        config = CmaesConfig(seed=5)
+        config = CmaesConfig(max_evaluations=100, seed=5)
         state = init_state([0.0, 0.0])
         a = ask(state, config)
         state.generation = 1
@@ -57,7 +57,7 @@ class TestAsk:
         assert not np.array_equal(a, b)
 
     def test_sample_mean_matches_state_mean(self):
-        config = CmaesConfig(seed=3)
+        config = CmaesConfig(max_evaluations=100, seed=3)
         state = init_state([2.0, -1.0])
         state.sigma = 0.5
         candidates = []
@@ -71,7 +71,7 @@ class TestAsk:
 
 class TestTell:
     def test_all_values_equal_gives_plain_recombination_and_keeps_best(self):
-        config = CmaesConfig(seed=0)
+        config = CmaesConfig(max_evaluations=100, seed=0)
         state = init_state([0.0, 0.0])
         state.best_value = -1.0
         state.best_point = np.array([9.0, 9.0])
@@ -86,7 +86,7 @@ class TestTell:
         assert state.best_value == -1.0  # tie never improves best-ever
 
     def test_improving_candidate_updates_best(self):
-        config = CmaesConfig(seed=2)
+        config = CmaesConfig(max_evaluations=100, seed=2)
         state = init_state([1.0, 1.0])
         candidates = ask(state, config)
         values = [sphere(c) for c in candidates]
@@ -94,7 +94,7 @@ class TestTell:
         assert state.best_value == min(values)
 
     def test_nan_value_rejected(self):
-        config = CmaesConfig(seed=2)
+        config = CmaesConfig(max_evaluations=100, seed=2)
         state = init_state([1.0])
         candidates = ask(state, config)
         values = [np.nan] * len(candidates)
@@ -115,7 +115,7 @@ class TestTell:
         assert state.best_value <= first_best / 1e6
 
     def test_covariance_stays_symmetric(self):
-        config = CmaesConfig(seed=9)
+        config = CmaesConfig(max_evaluations=100, seed=9)
         state = init_state([0.5, -0.5, 1.5])
         for _ in range(30):
             candidates = ask(state, config)
@@ -174,7 +174,7 @@ class TestMinimize:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
-            minimize(broken, np.ones(2), CmaesConfig(seed=0))
+            minimize(broken, np.ones(2), CmaesConfig(max_evaluations=100, seed=0))
 
     def test_non_finite_value_at_x0_rejected(self):
         calls = []
@@ -257,7 +257,7 @@ class TestOneDecompositionPerGeneration:
         assert len(calls) == result.generations > 0
 
     def test_tell_clears_the_cached_decomposition(self):
-        config = CmaesConfig(seed=3)
+        config = CmaesConfig(max_evaluations=100, seed=3)
         state = init_state([0.2, -0.4])
         candidates = ask(state, config)
         assert state.eigen is not None

@@ -319,12 +319,12 @@ class TestFit:
     def test_single_class_rejected(self):
         config = QnnConfig(n_qubits=1)
         with pytest.raises(ValueError):
-            fit([[0.1], [0.2], [0.3]], [1, 1, 1], config=config, cmaes_config=CmaesConfig())
+            fit([[0.1], [0.2], [0.3]], [1, 1, 1], config=config, cmaes_config=CmaesConfig(max_evaluations=100))
 
     def test_too_few_rows_rejected(self):
         config = QnnConfig(n_qubits=1)
         with pytest.raises(ValueError):
-            fit([[0.1]], [1], config=config, cmaes_config=CmaesConfig())
+            fit([[0.1]], [1], config=config, cmaes_config=CmaesConfig(max_evaluations=100))
 
     def test_separable_1d_task_reaches_auc(self):
         from qcausal.metrics import roc_and_auc
@@ -490,13 +490,13 @@ class TestEncodingHoist:
         X, y, w = small_task()
         w[3] = bad
         with pytest.raises(ValueError, match="weights must be finite"):
-            fit(X, y, w, config=QnnConfig(n_qubits=2), cmaes_config=CmaesConfig())
+            fit(X, y, w, config=QnnConfig(n_qubits=2), cmaes_config=CmaesConfig(max_evaluations=100))
 
     def test_training_rows_checked_before_any_evaluation(self):
         X, y, w = small_task()
         w[3] = 0.0
         with pytest.raises(ValueError, match="strictly positive"):
-            fit(X, y, w, config=QnnConfig(n_qubits=2), cmaes_config=CmaesConfig())
+            fit(X, y, w, config=QnnConfig(n_qubits=2), cmaes_config=CmaesConfig(max_evaluations=100))
 
 
 class TestNoObservableOnTheTrainingPath:

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+import oracles
 from oracles import cox_partial_loglik
+from qcausal.cli import SURVIVAL_COVARIATES, main, read_weights
+from qcausal.data import load_cohort
 from qcausal.survival import (
+    _cox_pass,
     concordance,
     fit_aalen,
     fit_cox,
@@ -254,6 +258,78 @@ class TestCox:
     def test_ties_argument_validated(self):
         with pytest.raises(ValueError):
             fit_cox([1.0, 2.0], [1, 1], np.array([[0.0], [1.0]]), ties="exact")
+
+
+def assert_same_pass(beta, times, events, X, weights, efron):
+    loglik, score, info = _cox_pass(beta, times, events, X, weights, efron)
+    ref_loglik, ref_score, ref_info = oracles.cox_pass(beta, times, events, X, weights, efron)
+    assert loglik == ref_loglik
+    assert np.array_equal(score, ref_score)
+    assert np.array_equal(info, ref_info)
+
+
+@pytest.fixture(scope="module")
+def large_cohort(tmp_path_factory):
+    """The n=6,000 seed-1 cohort with its matching weights, as `survival` fits it."""
+    out = tmp_path_factory.mktemp("large_cohort")
+    assert main(["gen", "--out-dir", str(out), "--n", "6000", "--seed", "1"]) == 0
+    assert main(["fit-ps", "--out-dir", str(out), "--seed", "1", "--model", "gbm"]) == 0
+    assert main(["adjust", "--out-dir", str(out), "--adjust", "mw"]) == 0
+    cohort, _ = load_cohort(out / "cohort.csv")
+    X = np.column_stack([cohort.matrix(SURVIVAL_COVARIATES), cohort.z])
+    return cohort.times, cohort.events, X, read_weights(out / "weights.csv")
+
+
+class TestCoxPassMatchesLoop:
+    """The array pass equals the earlier per-death loop bit for bit."""
+
+    def test_large_cohort_at_zero_and_after_one_newton_step(self, large_cohort):
+        times, events, X, weights = large_cohort
+        beta = np.zeros(X.shape[1])
+        assert_same_pass(beta, times, events, X, weights, True)
+        _, score, info = _cox_pass(beta, times, events, X, weights, True)
+        step = np.linalg.solve(info, score)
+        assert np.any(step != 0)
+        assert_same_pass(beta + step, times, events, X, weights, True)
+
+    @pytest.mark.parametrize("efron", [True, False])
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("layout", ["distinct", "one_group", "monthly"])
+    def test_synthetic_cohorts(self, layout, weighted, efron):
+        rng = np.random.default_rng(7)
+        n = 300
+        X = rng.normal(size=(n, 3))
+        if layout == "distinct":
+            times = rng.permutation(n) + 1.0
+            events = (rng.random(n) < 0.7).astype(float)
+        elif layout == "one_group":  # every death at one time, after the censored
+            events = (rng.random(n) < 0.6).astype(float)
+            times = np.where(events == 1.0, 5.0, rng.uniform(6.0, 9.0, n))
+        else:  # monthly times: many tie groups of several deaths
+            times = rng.integers(1, 25, n).astype(float)
+            events = (rng.random(n) < 0.8).astype(float)
+        weights = rng.uniform(0.2, 3.0, n) if weighted else np.ones(n)
+        for beta in (np.zeros(3), np.array([0.4, -0.7, 1.3])):
+            assert_same_pass(beta, times, events, X, weights, efron)
+
+
+class TestCoxUnderflow:
+    def test_risk_set_underflow_is_flagged_as_separation(self):
+        # times fall as x rises, every subject dies: the likelihood grows
+        # without bound, and a Newton step can send exp(eta - max eta) to 0
+        # over a whole risk set
+        times = 50.0 - np.arange(40)
+        for scale in (10.0, 100.0, 1000.0):
+            x = np.linspace(0.0, 1.0, 40)[:, None] * scale
+            model = fit_cox(times, np.ones(40), x)
+            assert model.separation and not model.converged
+            assert np.all(np.isfinite(model.coef))
+            assert np.isfinite(model.loglik)
+
+    def test_zero_weight_risk_set_at_zero_is_an_error(self, monkeypatch):
+        monkeypatch.setattr("qcausal.survival._cox_pass", lambda *args: None)
+        with pytest.raises(ValueError, match="risk set has zero weight at beta = 0"):
+            fit_cox([1.0, 2.0, 3.0], [1, 1, 0], np.array([[0.0], [1.0], [2.0]]))
 
 
 class TestConcordance:
