@@ -167,6 +167,9 @@ def smd(values, z, weights=None) -> float:
     Continuous covariates pool the two group variances; dichotomous ones
     (values within {0,1}) use p*(1-p) in place of the sample variance.
     """
+    for name, array in (("values", values), ("weights", weights)):
+        if array is not None and not np.all(np.isfinite(np.asarray(array, dtype=float))):
+            raise ValueError(f"{name} must be finite")
     value = float(_signed_smd(*_column_moments(values, z, weights, is_binary(values))))
     if math.isinf(value):
         raise ValueError("degenerate covariate: zero pooled variance with unequal means")

@@ -2,8 +2,8 @@
 
 All estimators share the right-censoring data layout: observed time y_i > 0,
 event flag d_i in {0,1}, and a positive weight w_i (default 1).  Subjects are
-at risk at time t while y_i >= t.  Every estimator rejects a time or weight
-that is not finite with ValueError.
+at risk at time t while y_i >= t.  Every estimator rejects a time, weight or
+covariate that is not finite with ValueError.
 
 Kaplan-Meier, Nelson-Aalen, log-rank and the additive model read their counts
 off one risk table: the subjects sorted once by time and cut into groups of
@@ -23,15 +23,15 @@ weighted variant substitutes weighted counts into the same expressions, i.e.
 
 Proportional hazards fits maximize the weighted partial likelihood by
 Newton-Raphson with the Efron tie correction (Breslow optional), halving a
-step that lowers the likelihood.  The Cox pass grows the risk sums subject by
-subject and computes each tie group's Efron terms as arrays over its deaths.
-It accumulates them in the order of a per-death loop, so the results are
-bit-identical to that loop.  A step that underflows exp(eta) to zero over a
-whole risk set stops the fit as separation.  The additive hazard model solves
-weighted least squares per event time, accumulating increments of the
-cumulative regression functions; the at-risk X'WX of every event time comes
-from the risk table, and the condition checks and solves run once over the
-stacked systems.
+step that lowers the likelihood.  The Cox pass adds each tie group to the
+risk sums as one block and computes the group's Efron terms as arrays over
+its deaths.  It accumulates both in the order of a per-subject, per-death
+loop, so the results are bit-identical to that loop.  A step that underflows
+exp(eta) to zero over a whole risk set stops the fit as separation.  The
+additive hazard model solves weighted least squares per event time,
+accumulating increments of the cumulative regression functions; the at-risk
+X'WX of every event time comes from the risk table, and the condition checks
+and solves run once over the stacked systems.
 
 Harrell's C sweeps the subjects in descending time and keeps the weight of
 those already passed (the later times) in a Fenwick tree over score ranks, so
@@ -79,6 +79,17 @@ def _check_samples(times, events, weights):
     if len(events) != len(times) or len(weights) != len(times):
         raise ValueError("times, events, weights must have equal lengths")
     return times, events, weights
+
+
+def _check_covariates(X, times, events):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) != len(times):
+        raise ValueError("covariate matrix must be 2-d with one row per sample")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X must be finite")
+    if events.sum() == 0:
+        raise ValueError("need at least one event")
+    return X
 
 
 @dataclass(frozen=True)
@@ -198,11 +209,12 @@ class CoxModel:
 def _cox_pass(beta, times, events, X, weights, efron):
     """One scan over event times: log-likelihood, score vector, information.
 
-    The risk sums grow subject by subject.  Each tie group's d Efron (or
-    Breslow) terms are computed as arrays over its deaths and accumulated in
-    the order of a per-death loop, so the results are bit-identical to that
-    loop.  Returns None when a denominator is not positive, which happens
-    when exp(eta) underflows to zero over a whole risk set.
+    The risk sums grow one tie group at a time, the group's rows added in
+    sequence.  Each tie group's d Efron (or Breslow) terms are computed as
+    arrays over its deaths and accumulated in the order of a per-death loop,
+    so the results are bit-identical to a per-subject, per-death loop.
+    Returns None when a denominator is not positive, which happens when
+    exp(eta) underflows to zero over a whole risk set.
     """
     order = np.argsort(-times, kind="stable")  # descending; risk sets grow
     t_sorted = times[order]
@@ -222,16 +234,15 @@ def _cox_pass(beta, times, events, X, weights, efron):
     s0 = 0.0
     s1 = np.zeros(p)
     s2 = np.zeros((p, p))
-    i = 0
-    n = len(t_sorted)
-    while i < n:
-        t = t_sorted[i]
-        j = i
-        while j < n and t_sorted[j] == t:
-            s0 += r[j]
-            s1 += r[j] * x_sorted[j]
-            s2 += r[j] * np.outer(x_sorted[j], x_sorted[j])
-            j += 1
+    rx = r[:, None] * x_sorted
+    bounds = [0, *(np.flatnonzero(t_sorted[1:] != t_sorted[:-1]) + 1).tolist(), len(t_sorted)]
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        # accumulate adds the group's rows to each risk sum in sequence
+        rg, xg = r[i:j], x_sorted[i:j]
+        s0 = np.add.accumulate(np.concatenate(([s0], rg)))[-1]
+        s1 = np.add.accumulate(np.concatenate(([s1], rx[i:j])))[-1]
+        s2_rows = rg[:, None, None] * (xg[:, :, None] * xg[:, None, :])
+        s2 = np.add.accumulate(np.concatenate(([s2], s2_rows)))[-1]
         dying = [k for k in range(i, j) if e_sorted[k] == 1.0]
         if dying:
             d = len(dying)
@@ -260,7 +271,6 @@ def _cox_pass(beta, times, events, X, weights, efron):
             # accumulate adds in sequence, where sum would add pairwise
             score = np.subtract.accumulate(np.concatenate(([score], c * mean)))[-1]
             info = np.add.accumulate(np.concatenate(([info], terms)))[-1]
-        i = j
     return loglik, score, info
 
 
@@ -290,11 +300,7 @@ def fit_cox(
     Harrell's C on the fitted risk scores.
     """
     times, events, weights = _check_samples(times, events, weights)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or len(X) != len(times):
-        raise ValueError("covariate matrix must be 2-d with one row per sample")
-    if events.sum() == 0:
-        raise ValueError("need at least one event")
+    X = _check_covariates(X, times, events)
     spans = X.max(axis=0) - X.min(axis=0)
     if np.any(spans == 0):
         raise ValueError("constant covariate column")
@@ -471,11 +477,7 @@ def fit_aalen(times, events, X, names=None, weights=None, horizon=None) -> Aalen
     rank-deficient (condition number above 1e10) are dropped.
     """
     times, events, weights = _check_samples(times, events, weights)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or len(X) != len(times):
-        raise ValueError("covariate matrix must be 2-d with one row per sample")
-    if events.sum() == 0:
-        raise ValueError("need at least one event")
+    X = _check_covariates(X, times, events)
     design = np.hstack([np.ones((len(times), 1)), X])
     p = design.shape[1]
     if names is None:

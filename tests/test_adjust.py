@@ -81,6 +81,14 @@ class TestSmd:
         with pytest.raises(ValueError):
             smd(values, z)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["values", "weights"])
+    def test_non_finite_input_rejected(self, name, bad):
+        given = {"values": np.array([0.0, 1.5, 2.0, 1.0]), "weights": np.ones(4)}
+        given[name][2] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            smd(given["values"], np.array([1, 1, 0, 0]), given["weights"])
+
 
 class TestWeights:
     def test_scheme_formulas(self):
